@@ -12,6 +12,7 @@ from typing import Optional
 
 from .seqcore import (
     NotDecodableError,
+    burst_starts,
     check_binary,
     check_symbols,
     phi,
@@ -104,16 +105,6 @@ def member(params: ClassicParams, u: tuple) -> bool:
     )
 
 
-def _burst_consistent(x: tuple, xp: tuple, t_max: int) -> bool:
-    """Is xp obtainable from x by a burst of <= t_max deletions (or equal)?"""
-    d = len(x) - len(xp)
-    if d == 0:
-        return x == xp
-    if not 1 <= d <= t_max:
-        return False
-    return any(x[:s] + x[s + d :] == xp for s in range(len(x) - d + 1))
-
-
 def vt_decode(xp: tuple, a: int, n: int) -> tuple:
     """Recover the VT_a(n) codeword from which one bit was deleted."""
     check_binary(xp)
@@ -138,7 +129,7 @@ def vt_decode(xp: tuple, a: int, n: int) -> tuple:
         if zeros_left == 0:
             pos = 0
         x = xp[:pos] + (1,) + xp[pos:]
-    if vt_syndrome(x) % (n + 1) != a or not _burst_consistent(x, xp, 1):
+    if vt_syndrome(x) % (n + 1) != a or not any(burst_starts(x, xp, 1)):
         raise NotDecodableError("no VT codeword consistent with input")
     return x
 
@@ -279,7 +270,7 @@ def levenshtein_decode(xp: tuple, a: int, n: int) -> tuple:
     found = set()
     for y in ys:
         x = psi_inv(y)
-        if vt_syndrome(y) % (2 * n) == a and _burst_consistent(x, xp, 2):
+        if vt_syndrome(y) % (2 * n) == a and any(burst_starts(x, xp, 2)):
             found.add(x)
     if len(found) != 1:
         raise NotDecodableError("no unique codeword consistent with input")

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 
 from . import bounds, pll2burst, tburst, verify
@@ -72,10 +71,11 @@ def cmd_decode(args) -> int:
         burst = Burst(1, max(1, book.spec.n - len(received)))
         window = None
     decoder = verify.book_decoder(book)
+    family = book.spec.family
+    if verify.get_family(family).needs_window and window is None:
+        print(f"decode: family {family} requires --window", file=sys.stderr)
+        return USAGE_ERROR
     try:
-        if book.spec.family == "pbounded" and window is None:
-            print("decode: family pbounded requires --window", file=sys.stderr)
-            return USAGE_ERROR
         decoded = decoder(None, received, burst)
     except NotDecodableError as exc:
         print(f"not decodable: {exc}", file=sys.stderr)
@@ -121,11 +121,7 @@ def cmd_verify(args) -> int:
         return FAILURE
     print(f"confusability: pass ({len(book.words)} words, t={t})")
     if args.sweep:
-        decoder = verify.book_decoder(book)
-        channel = "induced" if book.spec.family == "induced" else "burst"
-        report = verify.roundtrip_sweep(
-            book, decoder, t, channel=channel, jobs=args.jobs
-        )
+        report = verify.roundtrip_sweep(book, verify.book_decoder(book), t)
         if not report.ok:
             w, b, got = report.failures[0]
             print(
@@ -187,14 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("sieve", help="sieve a codebook to JSON")
-    p.add_argument(
-        "--family",
-        choices=(
-            "vt", "tenengolts", "levenshtein", "induced", "pbounded",
-            "pll_lev", "loc", "c2b", "ctb", "perm",
-        ),
-        required=True,
-    )
+    p.add_argument("--family", choices=tuple(verify.FAMILIES), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--t", type=int, default=1)
@@ -209,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--book", required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--sweep", action="store_true")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bounds", help="print a code-size upper bound")

@@ -7,13 +7,13 @@ from dataclasses import dataclass
 from itertools import permutations
 from math import factorial
 
-from .seqcore import Interval, NotDecodableError, vt_syndrome
+from .seqcore import Interval, NotDecodableError, burst_starts
 from .tburst import (
     DensityParams,
     QaryBlockLabeler,
     block_syndromes,
     cpb_decode,
-    indicator_alpha,
+    loc_residues,
     locate_burst,
     oracle_build_brute,
 )
@@ -56,11 +56,9 @@ def lex_rank(pi: tuple) -> int:
     check_permutation(pi)
     k = len(pi)
     rank = 0
-    seen = []
     for i, v in enumerate(pi):
         smaller = sum(1 for x in pi[i + 1 :] if x < v)
         rank += smaller * factorial(k - 1 - i)
-    del seen
     return rank + 1
 
 
@@ -149,29 +147,10 @@ def perm_labeler(params: PermCodeParams) -> QaryBlockLabeler:
 def perm_member(pi: tuple, params: PermCodeParams, labeler) -> bool:
     if len(pi) != params.n or sorted(pi) != list(range(1, params.n + 1)):
         return False
-    b = bp_map(pi)
-    dp = params.density
-    ind, alpha = indicator_alpha(b, dp)
-    if max(alpha) > dp.delta:
-        return False
-    if sum(ind) % 4 != params.c0 or vt_syndrome(alpha) % (2 * params.n) != params.c1:
+    if loc_residues(bp_map(pi), params.density) != (params.c0, params.c1):
         return False
     p = overlap_ranks(pi, params.t)
     return block_syndromes(p, params.P, labeler) == params.sums
-
-
-def c2t_decode(
-    pp: tuple,
-    window: Interval,
-    sums: tuple,
-    labeler,
-    P: int,
-    t: int,
-    full_len: int,
-) -> tuple:
-    """Recover the ranking sequence after one substring edit of length <= 2t
-    inside the window (block scheme shared with the binary block code)."""
-    return cpb_decode(pp, full_len, window, sums, labeler, P, model="edit", t=t)
 
 
 def pleqt_decode(pip: tuple, params: PermCodeParams, labeler) -> tuple:
@@ -195,12 +174,13 @@ def pleqt_decode(pip: tuple, params: PermCodeParams, labeler) -> tuple:
     p_window = Interval(
         max(1, window.lo - t), max(1, min(n - t, window.hi))
     )
+    # one substring edit of length <= 2t inside the window repairs the
+    # ranking sequence, by the block scheme of the binary block code
     pp = overlap_ranks(pip, t)
-    p = c2t_decode(pp, p_window, params.sums, labeler, params.P, t, n - t)
+    p = cpb_decode(
+        pp, n - t, p_window, params.sums, labeler, params.P, model="edit", t=t
+    )
     pi = reconstruct(pip, missing, p, t)
-    if not any(
-        pi[: s - 1] + pi[s - 1 + tprime :] == pip
-        for s in range(1, n - tprime + 2)
-    ):
+    if not any(burst_starts(pi, pip, t)):
         raise NotDecodableError("reconstruction is not burst-consistent")
     return pi

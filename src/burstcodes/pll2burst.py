@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classic import (
-    _burst_consistent,
     _one_deletion_candidates,
     _two_deletion_candidates,
     levenshtein_decode,
@@ -14,6 +13,9 @@ from .classic import (
 from .seqcore import (
     Interval,
     NotDecodableError,
+    _bits_to_int,
+    _int_to_bits,
+    burst_starts,
     ceil_log2,
     check_binary,
     check_symbols,
@@ -47,17 +49,6 @@ class PllParams:
         return pll_cap(self.n)
 
 
-def _int_to_bits(value: int, width: int) -> list:
-    return [(value >> (width - 1 - i)) & 1 for i in range(width)]
-
-
-def _bits_to_int(bits) -> int:
-    out = 0
-    for b in bits:
-        out = (out << 1) | b
-    return out
-
-
 def _window_has_period2(y: list, i: int, length: int) -> bool:
     """Does the whole window y[i..i+length-1] (1-based) have period 2?"""
     return all(y[j] == y[j + 2] for j in range(i - 1, i - 1 + length - 2))
@@ -78,7 +69,7 @@ def pll_encode(x: tuple) -> tuple:
         if _window_has_period2(y, i, cap + 1):
             a, b = y[i - 1], y[i]
             del y[i - 1 : i - 1 + cap]
-            y += [0, a, b] + _int_to_bits(i, clog) + [1, 1]
+            y += [0, a, b, *_int_to_bits(i, clog), 1, 1]
             nn -= cap
             i = 1
         else:
@@ -125,11 +116,7 @@ def locate_from_row1(x_decoded: tuple, x_received: tuple) -> Interval:
     tlen = len(x_decoded) - len(x_received)
     if tlen < 1:
         raise ValueError("locate_from_row1 requires at least one deletion")
-    starts = [
-        s
-        for s in range(1, len(x_decoded) - tlen + 2)
-        if x_decoded[: s - 1] + x_decoded[s - 1 + tlen :] == x_received
-    ]
+    starts = list(burst_starts(x_decoded, x_received, tlen))
     if not starts:
         raise NotDecodableError("received word is not in the burst ball")
     return Interval(min(starts), max(starts) + tlen - 1)
@@ -159,20 +146,6 @@ def pbounded_member(x: tuple, params: PBoundedParams) -> bool:
     )
 
 
-def _window_burst_consistent(x: tuple, xp: tuple, m: int, P: int) -> bool:
-    """Is xp = x minus a burst contained entirely in the window [m, m+P-1]?
-
-    Containment (not just the start position) is required: with only the
-    start constrained, two codewords can share a descendant via bursts
-    starting P-1 positions apart."""
-    d = len(x) - len(xp)
-    if d == 0:
-        return x == xp
-    lo = max(1, m)
-    hi = min(len(x) - d + 1, m + P - d)
-    return any(x[: s - 1] + x[s - 1 + d :] == xp for s in range(lo, hi + 1))
-
-
 def pbounded_decode(xp: tuple, params: PBoundedParams, m: int) -> tuple:
     """Correct a burst of <= 2 deletions known to start in [m, m+P-1].
 
@@ -200,7 +173,10 @@ def pbounded_decode(xp: tuple, params: PBoundedParams, m: int) -> tuple:
         if len(y) != n or sum(y) % 3 != params.d:
             continue
         x = psi_inv(y)
-        if _window_burst_consistent(x, xp, m, P):
+        # the burst must lie inside [m, m+P-1], not only start there: with
+        # only the start constrained, two codewords can share a descendant
+        # via bursts starting P-1 positions apart
+        if any(burst_starts(x, xp, 2, m, m + P - 1)):
             found.add(x)
     if len(found) != 1:
         raise NotDecodableError("no unique window-consistent codeword")
@@ -275,6 +251,6 @@ def c2b_decode(up: tuple, params: C2BParams) -> tuple:
     for i in range(1, len(rows_rx)):
         rows.append(pbounded_decode(rows_rx[i], params.row_params(i - 1), m))
     u = from_matrix(tuple(rows), params.q)
-    if not _burst_consistent(u, up, 2):
+    if not any(burst_starts(u, up, 2)):
         raise NotDecodableError("reassembled word is not burst-consistent")
     return u

@@ -6,7 +6,7 @@ are tuples of 0/1.  All positions in public APIs are 1-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence as Seq
+from typing import Iterable, Iterator, Optional, Sequence as Seq
 
 MAX_Q = 1 << 16
 BALL_MAX_N = 32
@@ -73,6 +73,21 @@ def bursts(n: int, t: int, upto: bool = False) -> Iterable[Burst]:
     for length in lengths:
         for start in range(1, n - length + 2):
             yield Burst(start, length)
+
+
+def burst_starts(
+    x: tuple, xp: tuple, t: int, lo: int = 1, hi: Optional[int] = None
+) -> Iterator[int]:
+    """Lazily yield every 1-based start of a burst of d = |x| - |xp|
+    deletions, 1 <= d <= t, lying inside positions [lo, hi] (default: all
+    of x), that turns x into xp.  Yields nothing when d is out of range."""
+    d = len(x) - len(xp)
+    if not 1 <= d <= t:
+        return
+    last = len(x) if hi is None else min(hi, len(x))
+    for s in range(max(1, lo), last - d + 2):
+        if x[: s - 1] + x[s - 1 + d :] == xp:
+            yield s
 
 
 def deletion_ball(u: tuple, t: int, upto: bool = False) -> set:
@@ -188,6 +203,18 @@ def from_matrix(rows: Seq[tuple], q: int) -> tuple:
     return tuple(u)
 
 
+def _int_to_bits(value: int, width: int) -> tuple:
+    """The low `width` bits of value, most significant first."""
+    return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
+
+
+def _bits_to_int(bits) -> int:
+    out = 0
+    for b in bits:
+        out = (out << 1) | b
+    return out
+
+
 def ceil_log2(n: int) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -213,7 +240,7 @@ def parse_sequence(text: str, q: Optional[int] = None) -> tuple:
 
 def format_sequence(u: Seq[int]) -> str:
     """Inverse of parse_sequence: 0/1 shorthand when possible, else commas."""
-    if u and all(s in (0, 1) for s in u):
+    if all(s in (0, 1) for s in u):
         return "".join(str(s) for s in u)
     out = ",".join(str(s) for s in u)
     # a lone multi-digit symbol would otherwise read back as binary shorthand

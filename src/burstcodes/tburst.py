@@ -17,6 +17,9 @@ from typing import Callable, Optional
 from .seqcore import (
     Interval,
     NotDecodableError,
+    _bits_to_int,
+    _int_to_bits,
+    burst_starts,
     ceil_log2,
     check_binary,
     check_symbols,
@@ -70,15 +73,18 @@ def is_dense(x: tuple, dp: DensityParams) -> bool:
     return max(alpha) <= dp.delta
 
 
-def loc_member(x: tuple, c0: int, c1: int, dp: DensityParams) -> bool:
-    """Membership in the localization code: dense, pattern count mod 4,
-    VT of the gap vector mod 2n."""
-    if len(x) != dp.n:
-        return False
+def loc_residues(x: tuple, dp: DensityParams) -> Optional[tuple]:
+    """Localization residues (pattern count mod 4, VT of the gap vector
+    mod 2n) of a dense x; None when x is not dense."""
     ind, alpha = indicator_alpha(x, dp)
     if max(alpha) > dp.delta:
-        return False
-    return sum(ind) % 4 == c0 and vt_syndrome(alpha) % (2 * dp.n) == c1
+        return None
+    return sum(ind) % 4, vt_syndrome(alpha) % (2 * dp.n)
+
+
+def loc_member(x: tuple, c0: int, c1: int, dp: DensityParams) -> bool:
+    """Membership in the localization code: dense with residues (c0, c1)."""
+    return len(x) == dp.n and loc_residues(x, dp) == (c0, c1)
 
 
 def locate_burst(
@@ -118,17 +124,6 @@ def locate_burst(
 
 # ---------------------------------------------------------------------------
 # pattern-free compression (base 2^{2t}-1 re-encoding of 2t-bit chunks)
-
-
-def _int_to_bits(value: int, width: int) -> tuple:
-    return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
-
-
-def _bits_to_int(bits) -> int:
-    out = 0
-    for b in bits:
-        out = (out << 1) | b
-    return out
 
 
 def _check_capacity(dp: DensityParams) -> None:
@@ -674,9 +669,6 @@ def ctb_decode(up: tuple, params: CtbParams, labeler: BlockLabeler) -> tuple:
         for i in range(len(rows_rx))
     ]
     u = from_matrix(tuple(rows), params.q)
-    if not any(
-        u[: s - 1] + u[s - 1 + tprime :] == up
-        for s in range(1, n - tprime + 2)
-    ):
+    if not any(burst_starts(u, up, params.t)):
         raise NotDecodableError("reassembled word is not burst-consistent")
     return u

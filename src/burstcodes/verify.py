@@ -1,5 +1,11 @@
-"""Ground-truth machinery: codebook sieving, confusability checking, exact
-maximum-code computation, and round-trip sweeps.
+"""Ground-truth machinery: the code-family registry, codebook sieving,
+confusability checking, exact maximum-code computation, and round-trip
+sweeps.
+
+Each code family is one `Family` record in `FAMILIES`, which holds its
+sieve, its decoder factory, its channel, whether decoding needs the burst
+window, and the sieve options it requires.  `sieve`, `book_decoder`,
+`roundtrip_sweep` and the CLI all read the registry.
 
 A sieve enumerates an ambient space (or, for spaces beyond the budget, a
 structured random sample, flagged as sampled), groups words by their residue
@@ -10,16 +16,16 @@ from __future__ import annotations
 
 import json
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import product
-from math import log2
+from itertools import islice, permutations, product
+from math import factorial, prod
 from typing import Callable, Iterable, Optional
 
 from . import classic, perm as perm_mod, pll2burst, tburst
 from .bounds import measured_redundancy
 from .seqcore import (
     Burst,
-    Interval,
     NotDecodableError,
     apply_burst,
     bursts,
@@ -86,15 +92,6 @@ class Codebook:
         )
 
 
-def _params_to_json(params: dict) -> dict:
-    def conv(v):
-        if isinstance(v, tuple):
-            return [conv(x) for x in v]
-        return v
-
-    return {k: conv(v) for k, v in params.items()}
-
-
 def _params_from_json(params: dict) -> dict:
     def conv(v):
         if isinstance(v, list):
@@ -104,16 +101,8 @@ def _params_from_json(params: dict) -> dict:
     return {k: conv(v) for k, v in params.items()}
 
 
-def _best_group(groups: dict):
-    """Largest group; ties broken by smallest parameter tuple."""
-    best_key = min(groups, key=lambda k: (-len(groups[k]), k))
-    return best_key, groups[best_key]
-
-
-def _binary_space(n: int, budget: int) -> Iterable[tuple]:
-    if 2**n > budget:
-        raise ValueError(f"ambient space 2^{n} exceeds budget {budget}")
-    return product((0, 1), repeat=n)
+# ---------------------------------------------------------------------------
+# code families: ambient spaces, sieves, decoders and the registry
 
 
 def _qary_space(n: int, q: int, budget: int) -> Iterable[tuple]:
@@ -138,81 +127,23 @@ def _alternating_space(n: int, q: int, budget: int) -> Iterable[tuple]:
     return rec(())
 
 
-def sieve(
-    family: str,
-    n: int,
-    q: int = 2,
-    t: int = 1,
-    budget: int = DEFAULT_BUDGET,
-    max_words: int = 1 << 14,
-    samples: int = 3000,
-    seed: int = 0,
-    **extra,
-) -> Codebook:
-    """Build the largest codebook of the family at the given size by
-    parameter sieving.  See module docstring for the strategy."""
-    if family == "vt":
-        groups = {}
-        for x in _binary_space(n, budget):
-            groups.setdefault(vt_syndrome(x) % (n + 1), []).append(x)
-        a, words = _best_group(groups)
-        return _book(family, n, 2, 1, {"a": a}, words, 2**n)
-    if family == "levenshtein":
-        groups = {}
-        for x in _binary_space(n, budget):
-            groups.setdefault(vt_syndrome(psi(x)) % (2 * n), []).append(x)
-        a, words = _best_group(groups)
-        return _book(family, n, 2, 2, {"a": a}, words, 2**n)
-    if family == "tenengolts":
-        groups = {}
-        for u in _qary_space(n, q, budget):
-            key = (vt_syndrome(classic.ascent_indicator(u)) % n, sum(u) % q)
-            groups.setdefault(key, []).append(u)
-        (a, b), words = _best_group(groups)
-        return _book(family, n, q, 1, {"a": a, "b": b}, words, q**n)
-    if family == "induced":
-        groups = {}
-        total = q * (q - 1) ** (n - 1)
-        for u in _alternating_space(n, q, budget):
-            key = (
-                vt_syndrome(classic.interleaved_psi(u)) % (2 * n),
-                sum(u[0::2]) % q,
-                sum(u[1::2]) % q,
-            )
-            groups.setdefault(key, []).append(u)
-        (a, b, c), words = _best_group(groups)
-        return _book(family, n, q, 2, {"a": a, "b": b, "c": c}, words, total)
-    if family == "pbounded":
-        P = extra["P"]
-        groups = {}
-        for x in _binary_space(n, budget):
-            y = psi(x)
-            key = (vt_syndrome(y) % (2 * P), sum(y) % 3)
-            groups.setdefault(key, []).append(x)
-        (c, d), words = _best_group(groups)
-        return _book(family, n, 2, 2, {"P": P, "c": c, "d": d}, words, 2**n)
-    if family == "pll_lev":
-        cap = pll2burst.pll_cap(n)
-        groups = {}
-        total = 0
-        for x in _binary_space(n, budget):
-            if longest_period2(x) > cap:
-                continue
-            total += 1
-            groups.setdefault(vt_syndrome(psi(x)) % (2 * n), []).append(x)
-        a, words = _best_group(groups)
-        return _book(family, n, 2, 2, {"a": a}, words, 2**n)
-    if family == "c2b":
-        return _sieve_c2b(n, q, budget, max_words)
-    if family == "loc":
-        return _sieve_loc(n, t, extra["delta"], budget, samples, seed)
-    if family == "ctb":
-        return _sieve_ctb(
-            n, q, t, extra["delta"], extra["P"], budget, samples, seed, max_words
-        )
-    if family == "perm":
-        return _sieve_perm(n, t, extra["delta"], extra["P"], budget)
-    raise ValueError(f"unknown family {family!r}")
+def _perm_space(n: int, budget: int) -> Iterable[tuple]:
+    if factorial(n) > budget:
+        raise ValueError("permutation space exceeds budget")
+    return permutations(range(1, n + 1))
+
+
+def _best_group(words: Iterable[tuple], key: Callable) -> tuple:
+    """Group words by key(word), skipping words whose key is None; return
+    the key and words of the largest group (ties to the smallest key)."""
+    groups = defaultdict(list)
+    for x in words:
+        groups[key(x)].append(x)
+    groups.pop(None, None)
+    if not groups:
+        raise ValueError("no word of the ambient space passes the sieve")
+    best = min(groups, key=lambda k: (-len(groups[k]), k))
+    return best, groups[best]
 
 
 def _book(family, n, q, t, params, words, ambient, sampled=False, full=None):
@@ -226,31 +157,97 @@ def _book(family, n, q, t, params, words, ambient, sampled=False, full=None):
     )
 
 
-def _sieve_c2b(n: int, q: int, budget: int, max_words: int) -> Codebook:
+def _residue_book(family, n, q, t, space, key, names, ambient, **fixed):
+    """Sieve of a residue family: the best group of the space by the key
+    tuple, whose entries become the params `names` after `fixed`."""
+    residues, words = _best_group(space, key)
+    params = {**fixed, **dict(zip(names, residues))}
+    return _book(family, n, q, t, params, words, ambient)
+
+
+def _sieve_vt(n, budget, **_):
+    return _residue_book(
+        "vt", n, 2, 1, _qary_space(n, 2, budget),
+        lambda x: (vt_syndrome(x) % (n + 1),), ("a",), 2**n,
+    )
+
+
+def _sieve_tenengolts(n, q, budget, **_):
+    return _residue_book(
+        "tenengolts", n, q, 1, _qary_space(n, q, budget),
+        lambda u: (vt_syndrome(classic.ascent_indicator(u)) % n, sum(u) % q),
+        ("a", "b"), q**n,
+    )
+
+
+def _sieve_levenshtein(n, budget, **_):
+    return _residue_book(
+        "levenshtein", n, 2, 2, _qary_space(n, 2, budget),
+        lambda x: (vt_syndrome(psi(x)) % (2 * n),), ("a",), 2**n,
+    )
+
+
+def _sieve_induced(n, q, budget, **_):
+    return _residue_book(
+        "induced", n, q, 2, _alternating_space(n, q, budget),
+        lambda u: (
+            vt_syndrome(classic.interleaved_psi(u)) % (2 * n),
+            sum(u[0::2]) % q,
+            sum(u[1::2]) % q,
+        ),
+        ("a", "b", "c"), q * (q - 1) ** (n - 1),
+    )
+
+
+def _sieve_pbounded(n, budget, P, **_):
+    def key(x):
+        y = psi(x)
+        return vt_syndrome(y) % (2 * P), sum(y) % 3
+
+    return _residue_book(
+        "pbounded", n, 2, 2, _qary_space(n, 2, budget), key, ("c", "d"), 2**n,
+        P=P,
+    )
+
+
+def _sieve_pll_lev(n, budget, **_):
+    cap = pll2burst.pll_cap(n)
+    space = (x for x in _qary_space(n, 2, budget) if longest_period2(x) <= cap)
+    return _residue_book(
+        "pll_lev", n, 2, 2, space,
+        lambda x: (vt_syndrome(psi(x)) % (2 * n),), ("a",), 2**n,
+    )
+
+
+def _row_product(rows: list, n: int, max_words: int) -> list:
+    """The first max_words q-ary words, in product order, whose bit-matrix
+    row r is taken from the book rows[r]."""
+    return [
+        tuple(sum(bits[j] << r for r, bits in enumerate(combo)) for j in range(n))
+        for combo in islice(product(*rows), max_words)
+    ]
+
+
+def _sieve_c2b(n, q, budget, max_words, **_) -> Codebook:
     """Row-separable sieve: row 1 over the period-limited two-deletion code,
     remaining rows over the window-bounded code; the codebook is the product
     of the row books (materialized up to max_words)."""
     if q % 2 != 0:
         raise ValueError("c2b requires q even")
     nrows = max(1, (q - 1).bit_length())
-    cap = pll2burst.pll_cap(n)
-    row1 = sieve("pll_lev", n, budget=budget)
-    others = [sieve("pbounded", n, budget=budget, P=cap) for _ in range(nrows - 1)]
-    full = len(row1.words)
-    for bk in others:
-        full *= len(bk.words)
+    row1 = _sieve_pll_lev(n, budget)
+    others = []
+    if nrows > 1:
+        others = [_sieve_pbounded(n, budget, pll2burst.pll_cap(n))] * (nrows - 1)
     params = {
         "a": row1.spec.params["a"],
         "rows": tuple(
             (bk.spec.params["c"], bk.spec.params["d"]) for bk in others
         ),
     }
-    words = []
-    for combo in product(row1.words, *(bk.words for bk in others)):
-        if len(words) >= max_words:
-            break
-        words.append(tuple(sum(bits[j] << r for r, bits in enumerate(combo)) for j in range(n)))
-    return _book("c2b", n, q, 2, params, words, q**n, full=full)
+    rows = [bk.words for bk in (row1, *others)]
+    words = _row_product(rows, n, max_words)
+    return _book("c2b", n, q, 2, params, words, q**n, full=prod(map(len, rows)))
 
 
 def _dense_sample(n: int, dp: tburst.DensityParams, rng, count: int) -> list:
@@ -263,7 +260,6 @@ def _dense_sample(n: int, dp: tburst.DensityParams, rng, count: int) -> list:
         attempts += 1
         x = [None] * n
         pos = rng.randint(1, max(1, delta - 2 * t + 1))
-        ok = True
         while pos + 2 * t - 1 <= n:
             x[pos - 1 : pos + 2 * t - 1] = list(w)
             nxt = pos + rng.randint(2 * t, delta)
@@ -274,33 +270,26 @@ def _dense_sample(n: int, dp: tburst.DensityParams, rng, count: int) -> list:
             if x[i] is None:
                 x[i] = rng.randint(0, 1)
         cand = tuple(x)
-        if ok and tburst.is_dense(cand, dp):
+        if tburst.is_dense(cand, dp):
             out.add(cand)
     return sorted(out)
 
 
-def _sieve_loc(n, t, delta, budget, samples, seed) -> Codebook:
+def _sieve_loc(n, t, delta, budget, samples, seed, **_) -> Codebook:
     dp = tburst.DensityParams(n, t, delta)
     sampled = 2**n > budget
     if sampled:
         pool = _dense_sample(n, dp, random.Random(seed), samples)
     else:
-        pool = [x for x in _binary_space(n, budget) if tburst.is_dense(x, dp)]
-    groups = {}
-    for x in pool:
-        ind, alpha = tburst.indicator_alpha(x, dp)
-        key = (sum(ind) % 4, vt_syndrome(alpha) % (2 * n))
-        groups.setdefault(key, []).append(x)
-    if not groups:
-        raise ValueError("no dense strings found")
-    (c0, c1), words = _best_group(groups)
+        pool = _qary_space(n, 2, budget)
+    (c0, c1), words = _best_group(pool, lambda x: tburst.loc_residues(x, dp))
     return _book(
         "loc", n, 2, t, {"delta": delta, "c0": c0, "c1": c1}, words, 2**n,
         sampled=sampled,
     )
 
 
-def _sieve_ctb(n, q, t, delta, P, budget, samples, seed, max_words) -> Codebook:
+def _sieve_ctb(n, q, t, delta, P, budget, samples, seed, max_words, **_):
     """Row-separable sieve with sampled row pools when 2^n is out of budget;
     parameters are the residues of the best (most frequent) tuple."""
     dp = tburst.DensityParams(n, t, delta)
@@ -310,7 +299,7 @@ def _sieve_ctb(n, q, t, delta, P, budget, samples, seed, max_words) -> Codebook:
     rng = random.Random(seed)
     sampled = 2**n > budget
     if sampled:
-        dense_pool = _dense_sample(n, dp, rng, samples)
+        row1_pool = _dense_sample(n, dp, rng, samples)
         plain_pool = sorted(
             {
                 tuple(rng.randint(0, 1) for _ in range(n))
@@ -318,34 +307,24 @@ def _sieve_ctb(n, q, t, delta, P, budget, samples, seed, max_words) -> Codebook:
             }
         )
     else:
-        space = list(_binary_space(n, budget))
-        dense_pool = [x for x in space if tburst.is_dense(x, dp)]
-        plain_pool = space
-    groups1 = {}
-    for x in dense_pool:
-        ind, alpha = tburst.indicator_alpha(x, dp)
-        key = (
-            sum(ind) % 4,
-            vt_syndrome(alpha) % (2 * n),
-            tburst.block_syndromes(x, P, labeler),
-        )
-        groups1.setdefault(key, []).append(x)
-    if not groups1:
-        raise ValueError("no dense strings found for row 1")
-    (c0, c1, sums1), row1_words = _best_group(groups1)
+        row1_pool = plain_pool = list(_qary_space(n, 2, budget))
+
+    def row1_key(x):
+        loc = tburst.loc_residues(x, dp)
+        if loc is None:
+            return None
+        return (*loc, tburst.block_syndromes(x, P, labeler))
+
+    (c0, c1, sums1), row1 = _best_group(row1_pool, row1_key)
     nrows = max(1, (q - 1).bit_length())
-    row_books = [row1_words]
-    row_sums = [sums1]
-    groups = {}
-    for x in plain_pool:
-        groups.setdefault(tburst.block_syndromes(x, P, labeler), []).append(x)
-    for _ in range(nrows - 1):
-        key, words = _best_group(groups)
-        row_books.append(words)
-        row_sums.append(key)
-    full = 1
-    for bk in row_books:
-        full *= len(bk)
+    rows, row_sums = [row1], [sums1]
+    if nrows > 1:
+        # every other row takes the same best block-sum class
+        sums, words = _best_group(
+            plain_pool, lambda x: tburst.block_syndromes(x, P, labeler)
+        )
+        rows += [words] * (nrows - 1)
+        row_sums += [sums] * (nrows - 1)
     params = {
         "delta": delta,
         "P": P,
@@ -353,48 +332,159 @@ def _sieve_ctb(n, q, t, delta, P, budget, samples, seed, max_words) -> Codebook:
         "c1": c1,
         "row_sums": tuple(row_sums),
     }
-    words = []
-    for combo in product(*row_books):
-        if len(words) >= max_words:
-            break
-        words.append(
-            tuple(
-                sum(bits[j] << r for r, bits in enumerate(combo))
-                for j in range(n)
-            )
-        )
     return _book(
-        "ctb", n, q, t, params, words, q**n, sampled=sampled, full=full
+        "ctb", n, q, t, params, _row_product(rows, n, max_words), q**n,
+        sampled=sampled, full=prod(map(len, rows)),
     )
 
 
-def _sieve_perm(n, t, delta, P, budget) -> Codebook:
-    from itertools import permutations
-    from math import factorial
-
-    if factorial(n) > budget:
-        raise ValueError("permutation space exceeds budget")
+def _sieve_perm(n, t, delta, P, budget, **_) -> Codebook:
+    space = _perm_space(n, budget)
     dp = tburst.DensityParams(n, t, delta)
     dummy = perm_mod.PermCodeParams(
         n, t, delta, P, 0, 0, (((0, 0), (0, 0)))
     )
     labeler = perm_mod.perm_labeler(dummy)
-    groups = {}
-    for pi in permutations(range(1, n + 1)):
-        b = perm_mod.bp_map(pi)
-        ind, alpha = tburst.indicator_alpha(b, dp)
-        if max(alpha) > delta:
-            continue
+
+    def key(pi):
+        # the cheap density rejection runs before the ranking sequence
+        loc = tburst.loc_residues(perm_mod.bp_map(pi), dp)
+        if loc is None:
+            return None
         p = perm_mod.overlap_ranks(pi, t)
-        key = (
-            sum(ind) % 4,
-            vt_syndrome(alpha) % (2 * n),
-            tburst.block_syndromes(p, P, labeler),
-        )
-        groups.setdefault(key, []).append(pi)
-    (c0, c1, sums), words = _best_group(groups)
+        return (*loc, tburst.block_syndromes(p, P, labeler))
+
+    (c0, c1, sums), words = _best_group(space, key)
     params = {"delta": delta, "P": P, "c0": c0, "c1": c1, "sums": sums}
     return _book("perm", n, 0, t, params, words, factorial(n))
+
+
+# decoder factories: spec -> decoder(codeword, received, burst)
+
+
+def _vt_decoder(spec):
+    n, a = spec.n, spec.params["a"]
+    return lambda w, rx, burst: classic.vt_decode(rx, a, n)
+
+
+def _levenshtein_decoder(spec):
+    n, a = spec.n, spec.params["a"]
+    return lambda w, rx, burst: classic.levenshtein_decode(rx, a, n)
+
+
+def _tenengolts_decoder(spec):
+    n, q, a, b = spec.n, spec.q, spec.params["a"], spec.params["b"]
+    return lambda w, rx, burst: classic.tenengolts_decode(rx, a, b, n, q)
+
+
+def _induced_decoder(spec):
+    p = spec.params
+    n, q, a, b, c = spec.n, spec.q, p["a"], p["b"], p["c"]
+    return lambda w, rx, burst: classic.induced_decode(rx, a, b, c, n, q)
+
+
+# the sieved params of these families are named as the fields of their
+# params classes
+
+
+def _pbounded_decoder(spec):
+    params = pll2burst.PBoundedParams(spec.n, **spec.params)
+    return lambda w, rx, burst: pll2burst.pbounded_decode(
+        rx, params, burst.start
+    )
+
+
+def _c2b_decoder(spec):
+    params = pll2burst.C2BParams(spec.n, spec.q, **spec.params)
+    return lambda w, rx, burst: pll2burst.c2b_decode(rx, params)
+
+
+def _ctb_decoder(spec):
+    params = tburst.CtbParams(spec.n, spec.q, spec.t, **spec.params)
+    labeler = tburst.BlockLabeler(tburst.ctb_oracles(params))
+    return lambda w, rx, burst: tburst.ctb_decode(rx, params, labeler)
+
+
+def _perm_decoder(spec):
+    params = perm_mod.PermCodeParams(spec.n, spec.t, **spec.params)
+    labeler = perm_mod.perm_labeler(params)
+    return lambda w, rx, burst: perm_mod.pleqt_decode(rx, params, labeler)
+
+
+@dataclass(frozen=True)
+class Family:
+    """One code family: its sieve, its decoder factory, and its channel."""
+
+    name: str
+    # (n, q, t, budget, max_words, samples, seed, **options) -> Codebook
+    sieve: Callable[..., Codebook]
+    # spec -> decoder(codeword, received, burst); None: no decoder
+    decoder: Optional[Callable[[CodeSpec], Callable]]
+    # "burst": a burst of deletions; "induced": a substring aba becomes a
+    channel: str = "burst"
+    # decoding needs the burst window as side information
+    needs_window: bool = False
+    # sieve options beyond n, q and t
+    requires: tuple = ()
+
+
+FAMILIES = {
+    fam.name: fam
+    for fam in (
+        Family("vt", _sieve_vt, _vt_decoder),
+        Family("tenengolts", _sieve_tenengolts, _tenengolts_decoder),
+        Family("levenshtein", _sieve_levenshtein, _levenshtein_decoder),
+        Family("induced", _sieve_induced, _induced_decoder, channel="induced"),
+        Family(
+            "pbounded", _sieve_pbounded, _pbounded_decoder,
+            needs_window=True, requires=("P",),
+        ),
+        Family("pll_lev", _sieve_pll_lev, _levenshtein_decoder),
+        Family("loc", _sieve_loc, None, requires=("delta",)),
+        Family("c2b", _sieve_c2b, _c2b_decoder),
+        Family("ctb", _sieve_ctb, _ctb_decoder, requires=("delta", "P")),
+        Family("perm", _sieve_perm, _perm_decoder, requires=("delta", "P")),
+    )
+}
+
+
+def get_family(name: str) -> Family:
+    """The registry record of a family name; ValueError when unknown."""
+    try:
+        return FAMILIES[name]
+    except KeyError:
+        raise ValueError(f"unknown family {name!r}") from None
+
+
+def sieve(
+    family: str,
+    n: int,
+    q: int = 2,
+    t: int = 1,
+    budget: int = DEFAULT_BUDGET,
+    max_words: int = 1 << 14,
+    samples: int = 3000,
+    seed: int = 0,
+    **extra,
+) -> Codebook:
+    """Build the largest codebook of the family at the given size by
+    parameter sieving.  See module docstring for the strategy."""
+    fam = get_family(family)
+    missing = [opt for opt in fam.requires if opt not in extra]
+    if missing:
+        raise ValueError(f"family {family!r} requires {', '.join(missing)}")
+    return fam.sieve(
+        n=n, q=q, t=t, budget=budget, max_words=max_words, samples=samples,
+        seed=seed, **extra,
+    )
+
+
+def book_decoder(book: Codebook) -> Callable[[tuple, tuple, Burst], tuple]:
+    """Decoder closure for a sieved codebook, from its family's record."""
+    fam = get_family(book.spec.family)
+    if fam.decoder is None:
+        raise ValueError(f"no decoder for family {fam.name!r}")
+    return fam.decoder(book.spec)
 
 
 # ---------------------------------------------------------------------------
@@ -414,11 +504,12 @@ def confusability_check(words, t: int):
     return None
 
 
-def _adjacency(words, ball: Callable[[tuple], set]) -> list:
+def _adjacency(words, t: int) -> list:
+    """Confusability graph as bit masks: words sharing a D_{<=t} descendant."""
     index = {w: i for i, w in enumerate(words)}
     groups = {}
     for w in words:
-        for d in ball(w):
+        for d in deletion_ball(w, t, upto=True):
             groups.setdefault(d, []).append(index[w])
     adj = [0] * len(words)
     for members in groups.values():
@@ -507,25 +598,18 @@ def _max_independent_set(adj: list, node_budget: int = 20_000_000) -> int:
     return best
 
 
+def _max_code(space: Iterable[tuple], t: int) -> int:
+    return _max_independent_set(_adjacency(list(space), t))
+
+
 def max_code_exact(n: int, q: int, t: int, budget: int = 1 << 14) -> int:
     """Exact maximum size of a t-burst code in Sigma_q^n."""
-    if q**n > budget:
-        raise ValueError("space exceeds budget")
-    words = list(product(range(q), repeat=n))
-    adj = _adjacency(words, lambda w: deletion_ball(w, t, upto=True))
-    return _max_independent_set(adj)
+    return _max_code(_qary_space(n, q, budget), t)
 
 
 def max_perm_code_exact(n: int, t: int, budget: int = 1 << 14) -> int:
     """Exact maximum size of a t-burst permutation code on S_n."""
-    from itertools import permutations
-    from math import factorial
-
-    if factorial(n) > budget:
-        raise ValueError("space exceeds budget")
-    words = list(permutations(range(1, n + 1)))
-    adj = _adjacency(words, lambda w: deletion_ball(w, t, upto=True))
-    return _max_independent_set(adj)
+    return _max_code(_perm_space(n, budget), t)
 
 
 def exists_perm_code(
@@ -546,17 +630,14 @@ def exists_perm_code(
     Raises RuntimeError when the search exceeds ``node_budget`` nodes.
     """
     import sys
-    from itertools import permutations
-    from math import factorial
 
     if t < 1 or t >= n:
         raise ValueError("need 1 <= t < n")
-    if factorial(n) > budget:
-        raise ValueError("space exceeds budget")
+    space = _perm_space(n, budget)
     if size <= 1:
         return True
 
-    words = list(permutations(range(1, n + 1)))
+    words = list(space)
     nrows = len(words)
     per_word = n - t + 1
 
@@ -573,7 +654,7 @@ def exists_perm_code(
         return False
 
     # conflict mask: rows sharing any descendant at any level 1..t (incl self)
-    adj = _adjacency(words, lambda w: deletion_ball(w, t, upto=True))
+    adj = _adjacency(words, t)
     conflict = [adj[i] | (1 << i) for i in range(nrows)]
 
     cell_rows: list = [[] for _ in range(ncells)]
@@ -709,79 +790,29 @@ def roundtrip_sweep(
     decoder: Callable[[tuple, tuple, Burst], tuple],
     t: int,
     upto: bool = True,
-    channel: str = "burst",
-    jobs: int = 1,
 ) -> SweepReport:
     """Apply every admissible corruption to every codeword and decode.
 
     decoder(codeword, corrupted, burst) may use the burst only as window
-    side information.  `channel` is "burst" or "induced"."""
-    tasks = []
-    for w in book.words:
-        if channel == "burst":
-            for b in bursts(len(w), t, upto):
-                tasks.append((w, apply_burst(w, b), b))
-        else:
-            for pos, res in classic.induced_deletions(w):
-                tasks.append((w, res, Burst(pos, 2)))
-
-    def run(task):
-        w, corrupted, b = task
-        try:
-            got = decoder(w, corrupted, b)
-        except NotDecodableError as exc:
-            return (w, b, f"not decodable: {exc}")
-        return None if got == w else (w, b, got)
-
+    side information.  The corruptions are those of the book family's
+    channel: bursts of deletions, or induced deletions aba -> a."""
+    induced = get_family(book.spec.family).channel == "induced"
+    total = 0
     failures = []
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            for res in ex.map(run, tasks):
-                if res is not None:
-                    failures.append(res)
-    else:
-        for task in tasks:
-            res = run(task)
-            if res is not None:
-                failures.append(res)
-    return SweepReport(total=len(tasks), failures=failures)
-
-
-def book_decoder(book: Codebook) -> Callable[[tuple, tuple, Burst], tuple]:
-    """Decoder closure for a sieved codebook, keyed by family."""
-    spec = book.spec
-    fam, n, q, p = spec.family, spec.n, spec.q, spec.params
-    if fam == "vt":
-        return lambda w, rx, b: classic.vt_decode(rx, p["a"], n)
-    if fam in ("levenshtein", "pll_lev"):
-        return lambda w, rx, b: classic.levenshtein_decode(rx, p["a"], n)
-    if fam == "tenengolts":
-        return lambda w, rx, b: classic.tenengolts_decode(
-            rx, p["a"], p["b"], n, q
-        )
-    if fam == "induced":
-        return lambda w, rx, b: classic.induced_decode(
-            rx, p["a"], p["b"], p["c"], n, q
-        )
-    if fam == "pbounded":
-        params = pll2burst.PBoundedParams(n, p["P"], p["c"], p["d"])
-        return lambda w, rx, b: pll2burst.pbounded_decode(rx, params, b.start)
-    if fam == "c2b":
-        params = pll2burst.C2BParams(n, q, p["a"], tuple(p["rows"]))
-        return lambda w, rx, b: pll2burst.c2b_decode(rx, params)
-    if fam == "ctb":
-        params = tburst.CtbParams(
-            n, q, spec.t, p["delta"], p["P"], p["c0"], p["c1"],
-            tuple(p["row_sums"]),
-        )
-        labeler = tburst.BlockLabeler(tburst.ctb_oracles(params))
-        return lambda w, rx, b: tburst.ctb_decode(rx, params, labeler)
-    if fam == "perm":
-        params = perm_mod.PermCodeParams(
-            n, spec.t, p["delta"], p["P"], p["c0"], p["c1"], tuple(p["sums"])
-        )
-        labeler = perm_mod.perm_labeler(params)
-        return lambda w, rx, b: perm_mod.pleqt_decode(rx, params, labeler)
-    raise ValueError(f"no decoder for family {fam!r}")
+    for w in book.words:
+        if induced:
+            cases = [
+                (res, Burst(pos, 2)) for pos, res in classic.induced_deletions(w)
+            ]
+        else:
+            cases = [(apply_burst(w, b), b) for b in bursts(len(w), t, upto)]
+        total += len(cases)
+        for corrupted, b in cases:
+            try:
+                got = decoder(w, corrupted, b)
+            except NotDecodableError as exc:
+                failures.append((w, b, f"not decodable: {exc}"))
+                continue
+            if got != w:
+                failures.append((w, b, got))
+    return SweepReport(total=total, failures=failures)

@@ -148,7 +148,7 @@ class TestInduced:
 class TestSweepHarness:
     def test_induced_channel_sweep(self):
         book = sieve("induced", 6, q=3)
-        rep = roundtrip_sweep(book, book_decoder(book), 2, channel="induced")
+        rep = roundtrip_sweep(book, book_decoder(book), 2)
         assert rep.ok and rep.total > 0
 
     def test_corrupted_parameter_produces_witness(self):

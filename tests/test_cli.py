@@ -83,8 +83,7 @@ class TestSieveVerifyDecode:
         assert book.exists()
 
         code, out, _ = run(
-            capsys, "verify", "--book", str(book), "--t", "2", "--sweep",
-            "--jobs", "1",
+            capsys, "verify", "--book", str(book), "--t", "2", "--sweep"
         )
         assert code == 0
         assert "confusability: pass" in out
@@ -122,6 +121,23 @@ class TestSieveVerifyDecode:
         )
         assert code == 0
         assert out.strip() == w
+
+    @pytest.mark.parametrize(
+        "family, option", [
+            ("pbounded", "P"), ("loc", "delta"), ("ctb", "delta"),
+            ("perm", "delta"),
+        ],
+    )
+    def test_sieve_missing_option_is_usage_error(
+        self, tmp_path, capsys, family, option
+    ):
+        code, _, err = run(
+            capsys, "sieve", "--family", family, "--n", "8",
+            "--out", str(tmp_path / "x.json"),
+        )
+        assert code == USAGE_ERROR
+        assert option in err
+        assert not (tmp_path / "x.json").exists()
 
     def test_undecodable_returns_failure(self, tmp_path, capsys):
         book = tmp_path / "book.json"

@@ -2,7 +2,7 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from burstcodes.seqcore import (
@@ -166,5 +166,6 @@ class TestParsing:
         assert format_sequence((10, 2, 0)) == "10,2,0"
 
     @given(st.lists(st.integers(0, 99), min_size=1, max_size=8).map(tuple))
+    @example(())
     def test_roundtrip(self, u):
         assert parse_sequence(format_sequence(u)) == u
