@@ -7,9 +7,6 @@ before being returned.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .seqcore import (
     NotDecodableError,
     burst_starts,
@@ -20,42 +17,6 @@ from .seqcore import (
     psi_inv,
     vt_syndrome,
 )
-
-FAMILIES = ("vt", "tenengolts", "levenshtein", "induced")
-
-
-@dataclass(frozen=True)
-class ClassicParams:
-    family: str
-    n: int
-    q: int = 2
-    a: int = 0
-    b: Optional[int] = None
-    c: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        n, q = self.n, self.q
-        if self.family == "vt":
-            if not 0 <= self.a <= n:
-                raise ValueError("vt requires a in [0, n]")
-        elif self.family == "tenengolts":
-            if not 0 <= self.a < n or self.b is None or not 0 <= self.b < q:
-                raise ValueError("tenengolts requires a in [0,n), b in [0,q)")
-        elif self.family == "levenshtein":
-            if not 0 <= self.a < 2 * n:
-                raise ValueError("levenshtein requires a in [0, 2n)")
-        else:
-            if (
-                not 0 <= self.a < 2 * n
-                or self.b is None
-                or self.c is None
-                or not 0 <= self.b < q
-                or not 0 <= self.c < q
-            ):
-                raise ValueError("induced requires a in [0,2n), b,c in [0,q)")
-
 
 def is_alternating(u: tuple) -> bool:
     return all(a != b for a, b in zip(u, u[1:]))
@@ -76,32 +37,30 @@ def interleaved_psi(u: tuple) -> tuple:
     return psi(_interleave(phi(u[0::2]), phi(u[1::2])))
 
 
-def member(params: ClassicParams, u: tuple) -> bool:
-    """True iff u satisfies every residue constraint of the named code."""
-    n = params.n
-    if len(u) != n:
-        return False
-    if params.family in ("vt", "levenshtein"):
-        check_binary(u)
-    else:
-        check_symbols(u, params.q)
-    if params.family == "vt":
-        return vt_syndrome(u) % (n + 1) == params.a
-    if params.family == "tenengolts":
-        return (
-            vt_syndrome(ascent_indicator(u)) % n == params.a
-            and sum(u) % params.q == params.b
-        )
-    if params.family == "levenshtein":
-        return vt_syndrome(psi(u)) % (2 * n) == params.a
-    # induced: alternating ambient with three residues on the interleaved image
-    if not is_alternating(u):
-        return False
-    q = params.q
+def vt_residues(x: tuple, n: int) -> tuple:
+    """(a,) of the VT code VT_a(n) holding x: VT(x) mod (n+1)."""
+    return (vt_syndrome(x) % (n + 1),)
+
+
+def tenengolts_residues(u: tuple, n: int, q: int) -> tuple:
+    """(a, b) of the q-ary single-deletion code holding u: VT of the ascent
+    indicator mod n, and the symbol sum mod q."""
+    return vt_syndrome(ascent_indicator(u)) % n, sum(u) % q
+
+
+def levenshtein_residues(x: tuple, n: int) -> tuple:
+    """(a,) of the two-burst code holding x: VT(psi(x)) mod 2n."""
+    return (vt_syndrome(psi(x)) % (2 * n),)
+
+
+def induced_residues(u: tuple, n: int, q: int) -> tuple:
+    """(a, b, c) of the induced-deletion code holding an alternating u: VT
+    of the interleaved psi image mod 2n, and the sums of the odd and the
+    even positions mod q.  Alternation itself is not tested here."""
     return (
-        vt_syndrome(interleaved_psi(u)) % (2 * n) == params.a
-        and sum(u[0::2]) % q == params.b
-        and sum(u[1::2]) % q == params.c
+        vt_syndrome(interleaved_psi(u)) % (2 * n),
+        sum(u[0::2]) % q,
+        sum(u[1::2]) % q,
     )
 
 
@@ -170,19 +129,18 @@ def tenengolts_decode(up: tuple, a: int, b: int, n: int, q: int) -> tuple:
     return matches.pop()
 
 
-def _one_deletion_candidates(yp: tuple, delta: int, modulus: int = 0) -> list:
-    """Reconstructions of y from y'
- after one deletion in the underlying x.
+def _one_deletion_candidates(yp: tuple, delta: int, modulus: int) -> list:
+    """Reconstructions of y from y' after one deletion in the underlying x.
 
     One deletion in x replaces an adjacent pair of y by its xor (or drops
-    y_1).  Dispatch on delta = VT(y) - VT(y') vs w = wt(y'); with a modulus
-    the comparison is done per candidate residue instead.
+    y_1).  Dispatch on delta = VT(y) - VT(y') mod modulus vs w = wt(y'),
+    comparing per candidate residue.
     """
     w = sum(yp)
     out = []
 
     def hit(value: int) -> bool:
-        return value % modulus == delta if modulus else value == delta
+        return value % modulus == delta
 
     # a 0 of y was deleted: delta = R1 (ones right of it)
     for r1 in range(w + 1):
@@ -203,7 +161,7 @@ def _one_deletion_candidates(yp: tuple, delta: int, modulus: int = 0) -> list:
 
 
 def _two_deletion_candidates(
-    yp: tuple, delta: int, modulus: int = 0, prefix_cases: bool = True
+    yp: tuple, delta: int, modulus: int, prefix_cases: bool = True
 ) -> list:
     """Reconstructions of y from y' after two consecutive deletions in x.
 
@@ -214,7 +172,7 @@ def _two_deletion_candidates(
     out = []
 
     def hit(value: int) -> bool:
-        return value % modulus == delta if modulus else value == delta
+        return value % modulus == delta
 
     # 010 collapsed to 1: delta = 2*R1 + 1, replace a 1 by 010
     r1 = 0
@@ -264,9 +222,9 @@ def levenshtein_decode(xp: tuple, a: int, n: int) -> tuple:
     yp = psi(xp)
     delta = (a - vt_syndrome(yp)) % (2 * n)
     if t == 1:
-        ys = _one_deletion_candidates(yp, delta)
+        ys = _one_deletion_candidates(yp, delta, 2 * n)
     else:
-        ys = _two_deletion_candidates(yp, delta)
+        ys = _two_deletion_candidates(yp, delta, 2 * n)
     found = set()
     for y in ys:
         x = psi_inv(y)
@@ -300,7 +258,7 @@ def induced_decode(up: tuple, a: int, b: int, c: int, n: int, q: int) -> tuple:
     yp = interleaved_psi(up)
     delta = (a - vt_syndrome(yp)) % (2 * n)
     # induced deletions never produce the prefix cases of the general decoder
-    candidates = _two_deletion_candidates(yp, delta, prefix_cases=False)
+    candidates = _two_deletion_candidates(yp, delta, 2 * n, prefix_cases=False)
     v_odd = (b - sum(up[0::2])) % q
     v_even = (c - sum(up[1::2])) % q
     found = set()
@@ -313,8 +271,10 @@ def induced_decode(up: tuple, a: int, b: int, c: int, n: int, q: int) -> tuple:
         for uo in half:
             for ue in other:
                 u = _interleave(uo, ue)
-                if member(ClassicParams("induced", n, q, a, b, c), u) and any(
-                    res == up for _, res in induced_deletions(u)
+                if (
+                    is_alternating(u)
+                    and induced_residues(u, n, q) == (a, b, c)
+                    and any(res == up for _, res in induced_deletions(u))
                 ):
                     found.add(u)
     if len(found) != 1:

@@ -13,7 +13,6 @@ import sys
 from . import bounds, pll2burst, tburst, verify
 from .seqcore import (
     Burst,
-    Interval,
     NotDecodableError,
     deletion_ball,
     format_sequence,
@@ -63,18 +62,24 @@ def cmd_decode(args) -> int:
     with open(args.book) as fh:
         book = verify.Codebook.from_json(fh.read())
     received = parse_sequence(args.received)
-    if args.window:
-        lo, hi = (int(p) for p in args.window.split(":"))
-        burst = Burst(lo, max(1, book.spec.n - len(received)))
-        window = Interval(lo, hi)
-    else:
-        burst = Burst(1, max(1, book.spec.n - len(received)))
-        window = None
     decoder = verify.book_decoder(book)
     family = book.spec.family
-    if verify.get_family(family).needs_window and window is None:
+    needs_window = verify.get_family(family).needs_window
+    lo = 1
+    if args.window:
+        lo, hi = (int(p) for p in args.window.split(":"))
+        if not 1 <= lo <= hi:
+            raise ValueError("--window requires 1 <= LO <= HI")
+        # the decoder searches [LO, LO+P-1]: a longer window would let a
+        # burst past it decode to a wrong codeword
+        if needs_window and hi - lo + 1 > book.spec.params["P"]:
+            raise ValueError(
+                f"--window is longer than P = {book.spec.params['P']}"
+            )
+    elif needs_window:
         print(f"decode: family {family} requires --window", file=sys.stderr)
         return USAGE_ERROR
+    burst = Burst(lo, max(1, book.spec.n - len(received)))
     try:
         decoded = decoder(None, received, burst)
     except NotDecodableError as exc:

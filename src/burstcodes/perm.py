@@ -134,14 +134,11 @@ def perm_labeler(params: PermCodeParams) -> QaryBlockLabeler:
     """Substring-edit oracle over the ranking alphabet via per-row binary
     composition."""
     q = factorial(params.t + 1) + 1  # symbols 1..(t+1)!, 0 reserved for pad
-    nrows = max(1, (q - 1).bit_length())
     lengths = {2 * params.P, params.P}
     oracles = {
         k: oracle_build_brute(k, params.t, "edit") for k in lengths
     }
-    return QaryBlockLabeler(
-        1 << nrows, oracles, alphabet=params.rank_alphabet
-    )
+    return QaryBlockLabeler(q, oracles, params.rank_alphabet)
 
 
 def perm_member(pi: tuple, params: PermCodeParams, labeler) -> bool:

@@ -4,11 +4,13 @@ bounded two-deletion decoding, and the q-ary two-burst code built from them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .classic import (
     _one_deletion_candidates,
     _two_deletion_candidates,
     levenshtein_decode,
+    levenshtein_residues,
 )
 from .seqcore import (
     Interval,
@@ -21,6 +23,7 @@ from .seqcore import (
     check_symbols,
     from_matrix,
     longest_period2,
+    matrix_rows,
     psi,
     psi_inv,
     to_matrix,
@@ -36,19 +39,6 @@ def pll_cap(n: int) -> int:
     return ceil_log2(n) + 5
 
 
-@dataclass(frozen=True)
-class PllParams:
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < PLL_MIN_N:
-            raise ValueError(f"pll encoding requires n >= {PLL_MIN_N}")
-
-    @property
-    def cap(self) -> int:
-        return pll_cap(self.n)
-
-
 def _window_has_period2(y: list, i: int, length: int) -> bool:
     """Does the whole window y[i..i+length-1] (1-based) have period 2?"""
     return all(y[j] == y[j + 2] for j in range(i - 1, i - 1 + length - 2))
@@ -59,9 +49,10 @@ def pll_encode(x: tuple) -> tuple:
     log each cut as a trailer record 0 . ab . b(i) . 11; output length n+2."""
     check_binary(x)
     n = len(x)
-    params = PllParams(n)
+    if n < PLL_MIN_N:
+        raise ValueError(f"pll encoding requires n >= {PLL_MIN_N}")
     clog = ceil_log2(n)
-    cap = params.cap
+    cap = pll_cap(n)
     y = list(x) + [1, 0]
     nn = n
     i = 1
@@ -136,14 +127,25 @@ class PBoundedParams:
             raise ValueError("require d in [0, 3)")
 
 
+def pbounded_residues(x: tuple, P: int) -> tuple:
+    """(c, d) of the window-bounded code holding x: VT(psi(x)) mod 2P and
+    wt(psi(x)) mod 3."""
+    y = psi(x)
+    return vt_syndrome(y) % (2 * P), sum(y) % 3
+
+
+def pll_lev_residues(x: tuple, n: int) -> Optional[tuple]:
+    """(a,) of the period-limited two-burst code holding x: VT(psi(x)) mod
+    2n; None when x has a period-2 run longer than pll_cap(n)."""
+    if longest_period2(x) > pll_cap(n):
+        return None
+    return levenshtein_residues(x, n)
+
+
 def pbounded_member(x: tuple, params: PBoundedParams) -> bool:
     if len(x) != params.n:
         return False
-    y = psi(x)
-    return (
-        vt_syndrome(y) % (2 * params.P) == params.c
-        and sum(y) % 3 == params.d
-    )
+    return pbounded_residues(x, params.P) == (params.c, params.d)
 
 
 def pbounded_decode(xp: tuple, params: PBoundedParams, m: int) -> tuple:
@@ -165,9 +167,9 @@ def pbounded_decode(xp: tuple, params: PBoundedParams, m: int) -> tuple:
     yp = psi(xp)
     delta = (params.c - vt_syndrome(yp)) % (2 * P)
     if t == 1:
-        ys = _one_deletion_candidates(yp, delta, modulus=2 * P)
+        ys = _one_deletion_candidates(yp, delta, 2 * P)
     else:
-        ys = _two_deletion_candidates(yp, delta, modulus=2 * P)
+        ys = _two_deletion_candidates(yp, delta, 2 * P)
     found = set()
     for y in ys:
         if len(y) != n or sum(y) % 3 != params.d:
@@ -198,8 +200,7 @@ class C2BParams:
             raise ValueError("require q even")
         if not 0 <= self.a < 2 * self.n:
             raise ValueError("require a in [0, 2n)")
-        nrows = max(1, (self.q - 1).bit_length())
-        if len(self.rows) != nrows - 1:
+        if len(self.rows) != matrix_rows(self.q) - 1:
             raise ValueError("need residues for every row but the first")
 
     @property
@@ -216,10 +217,7 @@ def c2b_member(u: tuple, params: C2BParams) -> bool:
         return False
     check_symbols(u, params.q)
     rows = to_matrix(u, params.q)
-    row1 = rows[0]
-    if longest_period2(row1) > params.cap:
-        return False
-    if vt_syndrome(psi(row1)) % (2 * params.n) != params.a:
+    if pll_lev_residues(rows[0], params.n) != (params.a,):
         return False
     return all(
         pbounded_member(rows[i], params.row_params(i - 1))

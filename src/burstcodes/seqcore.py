@@ -97,7 +97,8 @@ def deletion_ball(u: tuple, t: int, upto: bool = False) -> set:
         raise ValueError(f"deletion_ball refuses n > {BALL_MAX_N}")
     if not (1 <= t <= n):
         raise ValueError("require 1 <= t <= |u|")
-    return {apply_burst(u, b) for b in bursts(n, t, upto)}
+    lengths = range(1, t + 1) if upto else (t,)
+    return {u[:s] + u[s + d :] for d in lengths for s in range(n - d + 1)}
 
 
 def burst_ball_size(u: tuple, t: int) -> int:
@@ -180,11 +181,15 @@ def longest_period2(x: tuple) -> int:
     return best
 
 
+def matrix_rows(q: int) -> int:
+    """Number of rows of the bit matrix of a q-ary word: ceil(log2 q) >= 1."""
+    return max(1, (q - 1).bit_length())
+
+
 def to_matrix(u: tuple, q: int) -> tuple:
     """Rows of the bit matrix A(u): row 1 is the LSB of every symbol."""
     check_symbols(u, q)
-    nrows = max(1, (q - 1).bit_length())
-    return tuple(tuple((s >> r) & 1 for s in u) for r in range(nrows))
+    return tuple(tuple((s >> r) & 1 for s in u) for r in range(matrix_rows(q)))
 
 
 def from_matrix(rows: Seq[tuple], q: int) -> tuple:

@@ -23,7 +23,9 @@ from .seqcore import (
     ceil_log2,
     check_binary,
     check_symbols,
+    deletion_ball,
     from_matrix,
+    matrix_rows,
     to_matrix,
     vt_syndrome,
 )
@@ -323,28 +325,21 @@ class SyndromeOracle:
     labels: dict = field(repr=False)
     label_space: int = 0
 
-    def label(self, block: tuple) -> int:
-        return self.labels[block]
-
 
 def _descendants(v: tuple, t: int, model: str) -> set:
-    out = set()
-    k = len(v)
     if model == "burst":
-        for tp in range(1, t + 1):
-            for s in range(k - tp + 1):
-                out.add(v[:s] + v[s + tp :])
-    elif model == "edit":
-        # replace a substring of length l1 <= 2t by any string of length
-        # l2 <= 2t (identity included)
-        for l1 in range(0, 2 * t + 1):
-            for s in range(k - l1 + 1):
-                head, tail = v[:s], v[s + l1 :]
-                for l2 in range(0, 2 * t + 1):
-                    for m in product((0, 1), repeat=l2):
-                        out.add(head + m + tail)
-    else:
+        return deletion_ball(v, t, upto=True)
+    if model != "edit":
         raise ValueError(f"unknown error model {model!r}")
+    # replace a substring of length l1 <= 2t by any string of length
+    # l2 <= 2t (identity included)
+    out = set()
+    for l1 in range(0, 2 * t + 1):
+        for s in range(len(v) - l1 + 1):
+            head, tail = v[:s], v[s + l1 :]
+            for l2 in range(0, 2 * t + 1):
+                for m in product((0, 1), repeat=l2):
+                    out.add(head + m + tail)
     return out
 
 
@@ -416,8 +411,6 @@ def oracle_load(path: str) -> SyndromeOracle:
 class BlockLabeler:
     """Label lookup for binary blocks of the lengths appearing in a split."""
 
-    q = 2
-
     def __init__(self, oracles: dict):
         self.oracles = oracles
         self.modulus = max(o.label_space for o in oracles.values())
@@ -436,14 +429,13 @@ class QaryBlockLabeler:
     block is a same-window substring edit of every row, so confusable q-ary
     blocks differ in some row and receive distinct labels."""
 
-    def __init__(self, q: int, oracles: dict, alphabet: Optional[tuple] = None):
-        self.q = q
-        self.nrows = max(1, (q - 1).bit_length())
+    def __init__(self, q: int, oracles: dict, alphabet: tuple):
+        self.nrows = matrix_rows(q)
         self.oracles = oracles
         self.modulus = max(
             o.label_space ** self.nrows for o in oracles.values()
         )
-        self._alphabet = alphabet if alphabet is not None else tuple(range(q))
+        self._alphabet = alphabet
 
     @property
     def alphabet(self) -> tuple:
@@ -622,10 +614,6 @@ class CtbParams:
     @property
     def density(self) -> DensityParams:
         return DensityParams(self.n, self.t, self.delta)
-
-    @property
-    def nrows(self) -> int:
-        return max(1, (self.q - 1).bit_length())
 
 
 def ctb_oracles(params: CtbParams) -> dict:

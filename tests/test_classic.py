@@ -4,27 +4,37 @@ Ground truth throughout is exhaustive enumeration: sieve a parameter class
 over the whole ambient space, corrupt every codeword every admissible way,
 and require exact recovery.
 """
+import random
 from itertools import product
 
 import pytest
 
 from burstcodes import classic
 from burstcodes.classic import (
-    ClassicParams,
     induced_decode,
     induced_deletions,
+    induced_residues,
     interleaved_psi,
     is_alternating,
     levenshtein_decode,
-    member,
+    levenshtein_residues,
     tenengolts_decode,
+    tenengolts_residues,
     vt_decode,
+    vt_residues,
+)
+from burstcodes.pll2burst import (
+    PBoundedParams,
+    pbounded_decode,
+    pbounded_residues,
 )
 from burstcodes.seqcore import (
     NotDecodableError,
     apply_burst,
     Burst,
+    burst_starts,
     bursts,
+    deletion_ball,
     phi,
     psi,
     vt_syndrome,
@@ -34,17 +44,15 @@ from burstcodes.verify import sieve, book_decoder, roundtrip_sweep
 
 class TestVT:
     def test_membership(self):
-        p = ClassicParams("vt", 4, 2, 0)
-        assert member(p, (0, 0, 0, 0))
-        assert member(p, (1, 0, 0, 1))  # VT = 5 = 0 mod 5
-        assert not member(p, (1, 0, 0, 0))
+        assert vt_residues((0, 0, 0, 0), 4) == (0,)
+        assert vt_residues((1, 0, 0, 1), 4) == (0,)  # VT = 5 = 0 mod 5
+        assert vt_residues((1, 0, 0, 0), 4) != (0,)
 
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_single_deletion_exhaustive(self, n):
         for a in range(n + 1):
-            p = ClassicParams("vt", n, 2, a)
             for x in product((0, 1), repeat=n):
-                if not member(p, x):
+                if vt_residues(x, n) != (a,):
                     continue
                 for i in range(n):
                     xp = x[:i] + x[i + 1 :]
@@ -66,20 +74,19 @@ class TestTenengolts:
                 assert tenengolts_decode(up, a, b, n, q) == u
 
     def test_membership_uses_ascents_and_sum(self):
-        p = ClassicParams("tenengolts", 3, 3, a=0, b=0)
         for u in product(range(3), repeat=3):
             expected = (
                 vt_syndrome(classic.ascent_indicator(u)) % 3 == 0
                 and sum(u) % 3 == 0
             )
-            assert member(p, u) == expected
+            assert (tenengolts_residues(u, 3, 3) == (0, 0)) == expected
 
 
 class TestLevenshtein:
     def test_membership_residue(self):
-        p = ClassicParams("levenshtein", 8, 2, 0)
         for x in product((0, 1), repeat=8):
-            assert member(p, x) == (vt_syndrome(psi(x)) % 16 == 0)
+            expected = vt_syndrome(psi(x)) % 16 == 0
+            assert (levenshtein_residues(x, 8) == (0,)) == expected
 
     @pytest.mark.parametrize("n", [8, 10])
     def test_burst_up_to_two_exhaustive(self, n):
@@ -114,8 +121,8 @@ class TestInduced:
 
     def test_worked_example(self):
         u = (1, 0, 6, 7, 6, 2, 3, 5)
-        p = ClassicParams("induced", 8, 8, a=3, b=0, c=6)
-        assert member(p, u)
+        assert is_alternating(u)
+        assert induced_residues(u, 8, 8) == (3, 0, 6)
         up = (1, 0, 6, 2, 3, 5)  # 4th and 5th symbols gone (aba -> a)
         assert (3, up) in [(pos, res) for pos, res in induced_deletions(u)]
         assert induced_decode(up, 3, 0, 6, 8, 8) == u
@@ -128,8 +135,20 @@ class TestInduced:
         assert len(spots) == 2
 
     def test_alternating_required(self):
-        p = ClassicParams("induced", 4, 4, 0, 0, 0)
-        assert not member(p, (1, 1, 2, 3))
+        # the sieve enumerates alternating words only, and the decoder never
+        # returns a non-alternating word, even one with matching residues
+        assert all(is_alternating(u) for u in sieve("induced", 6, q=3).words)
+        n, q = 6, 3
+        for u in product(range(q), repeat=n):
+            if is_alternating(u):
+                continue
+            a, b, c = induced_residues(u, n, q)
+            for _, up in induced_deletions(u):
+                try:
+                    got = induced_decode(up, a, b, c, n, q)
+                except NotDecodableError:
+                    continue
+                assert is_alternating(got)
 
     @pytest.mark.parametrize("n,q", [(6, 3), (8, 4)])
     def test_all_induced_deletions_exhaustive(self, n, q):
@@ -162,3 +181,79 @@ class TestSweepHarness:
 def test_is_alternating():
     assert is_alternating((0, 1, 0, 2))
     assert not is_alternating((0, 1, 1))
+
+
+def _bits(rng, length):
+    return tuple(rng.randint(0, 1) for _ in range(length))
+
+
+def _alternating(rng, length, q):
+    u = [rng.randrange(q)]
+    while len(u) < length:
+        u.append(rng.choice([s for s in range(q) if s != u[-1]]))
+    return tuple(u)
+
+
+def _contract_case(rng, family, n):
+    """One arbitrary input: (decode thunk, check of its output).  The check
+    holds iff the output has the drawn residues and its ball (for pbounded:
+    a burst inside the window [m, m+P-1]) contains the input."""
+    q, P = 4, n // 2
+    if family == "vt":
+        a, rx = rng.randrange(n + 1), _bits(rng, n - 1)
+        return (lambda: vt_decode(rx, a, n)), lambda x: (
+            vt_residues(x, n) == (a,) and rx in deletion_ball(x, 1)
+        )
+    if family == "tenengolts":
+        a, b = rng.randrange(n), rng.randrange(q)
+        rx = tuple(rng.randrange(q) for _ in range(n - 1))
+        return (lambda: tenengolts_decode(rx, a, b, n, q)), lambda u: (
+            tenengolts_residues(u, n, q) == (a, b)
+            and rx in deletion_ball(u, 1)
+        )
+    if family == "levenshtein":
+        a, rx = rng.randrange(2 * n), _bits(rng, n - rng.randint(1, 2))
+        return (lambda: levenshtein_decode(rx, a, n)), lambda x: (
+            levenshtein_residues(x, n) == (a,)
+            and rx in deletion_ball(x, 2, upto=True)
+        )
+    if family == "induced":
+        a, b, c = rng.randrange(2 * n), rng.randrange(q), rng.randrange(q)
+        # alternating inputs reach the reinsertion step; others rarely do
+        if rng.random() < 0.5:
+            rx = _alternating(rng, n - 2, q)
+        else:
+            rx = tuple(rng.randrange(q) for _ in range(n - 2))
+        return (lambda: induced_decode(rx, a, b, c, n, q)), lambda u: (
+            is_alternating(u)
+            and induced_residues(u, n, q) == (a, b, c)
+            and rx in [res for _, res in induced_deletions(u)]
+        )
+    c, d, m = rng.randrange(2 * P), rng.randrange(3), rng.randint(1, n)
+    rx = _bits(rng, n - rng.randint(1, 2))
+    params = PBoundedParams(n, P, c, d)
+    return (lambda: pbounded_decode(rx, params, m)), lambda x: (
+        pbounded_residues(x, P) == (c, d)
+        and any(burst_starts(x, rx, 2, m, m + P - 1))
+    )
+
+
+@pytest.mark.parametrize("n", [8, 12])
+@pytest.mark.parametrize(
+    "family", ["vt", "tenengolts", "levenshtein", "induced", "pbounded"]
+)
+def test_decoder_contract_on_arbitrary_input(family, n):
+    # a decoder either refuses or returns a word of its code whose ball
+    # contains the input, never a wrong answer; both outcomes must occur
+    rng = random.Random(f"{family}/{n}")
+    outcomes = {"refused": 0, "decoded": 0}
+    for _ in range(5000):
+        decode, holds = _contract_case(rng, family, n)
+        try:
+            got = decode()
+        except NotDecodableError:
+            outcomes["refused"] += 1
+            continue
+        assert holds(got)
+        outcomes["decoded"] += 1
+    assert outcomes["decoded"] > 0

@@ -122,6 +122,29 @@ class TestSieveVerifyDecode:
         assert code == 0
         assert out.strip() == w
 
+    def test_window_longer_than_P_is_usage_error(self, tmp_path, capsys):
+        # the decoder searches [LO, LO+P-1]: with --window 1:16 and P = 6 it
+        # used to decode this 2-burst at positions 10-11 to a wrong codeword
+        book = tmp_path / "book.json"
+        code, _, _ = run(
+            capsys, "sieve", "--family", "pbounded", "--n", "16",
+            "--P", "6", "--out", str(book),
+        )
+        assert code == 0
+        sent, received = "0000000000100110", "00000000000110"
+        code, out, err = run(
+            capsys, "decode", "--book", str(book), "--received", received,
+            "--window", "1:16",
+        )
+        assert code == USAGE_ERROR
+        assert "P = 6" in err and not out
+        code, out, _ = run(
+            capsys, "decode", "--book", str(book), "--received", received,
+            "--window", "9:14",
+        )
+        assert code == 0
+        assert out.strip() == sent
+
     @pytest.mark.parametrize(
         "family, option", [
             ("pbounded", "P"), ("loc", "delta"), ("ctb", "delta"),

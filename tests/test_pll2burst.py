@@ -7,7 +7,6 @@ import pytest
 from burstcodes.pll2burst import (
     C2BParams,
     PBoundedParams,
-    PllParams,
     c2b_decode,
     c2b_member,
     locate_from_row1,
@@ -77,8 +76,6 @@ class TestPllEncode:
             assert pll_decode(y, n) == x
 
     def test_min_length_enforced(self):
-        with pytest.raises(ValueError):
-            PllParams(4)
         with pytest.raises(ValueError):
             pll_encode((0, 1) * 2)
 

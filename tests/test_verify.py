@@ -5,7 +5,30 @@ import itertools
 
 import pytest
 
+from burstcodes.classic import (
+    induced_residues,
+    is_alternating,
+    levenshtein_residues,
+    tenengolts_residues,
+    vt_residues,
+)
+from burstcodes.perm import PermCodeParams, perm_labeler, perm_member
+from burstcodes.pll2burst import (
+    C2BParams,
+    PBoundedParams,
+    c2b_member,
+    pbounded_member,
+    pll_lev_residues,
+)
 from burstcodes.seqcore import Burst, apply_burst, vt_syndrome, psi
+from burstcodes.tburst import (
+    BlockLabeler,
+    CtbParams,
+    DensityParams,
+    ctb_member,
+    ctb_oracles,
+    loc_member,
+)
 from burstcodes.cli import main
 from burstcodes.verify import (
     FAMILIES,
@@ -66,17 +89,74 @@ REGISTRY_BOOKS = [
     ("c2b", 10, {"q": 16, "max_words": 64}, "45cdbf30335ab1d959f06dd5b84e85396122efacd672f0d815caedd3be401653"),
     ("ctb", 12, {"q": 4, "t": 1, "delta": 4, "P": 4}, "3cb1099e4addf004976d9ccb041a10d93aac54bae4404dfc107021d8d0287401"),
     ("perm", 6, {"t": 1, "delta": 4, "P": 5}, "15ad549dbb106766bbac23d73fd797ed04dcbec83cdf865e6795e0601f7acb49"),
+    # q = 6: the row products are filtered to symbols < 6 (257 of 4,000
+    # and 60 of 578 words), and full_size is None
+    ("c2b", 10, {"q": 6, "max_words": 4000}, "d27be1aa8a7e19a60ffe9e855774c50937c6ad81ba9b6c31dd300fa439765053"),
+    ("ctb", 12, {"q": 6, "t": 1, "delta": 4, "P": 4}, "c5d7a904829593e47cc2e5d851e88d9e79293cd9f48398e4fd82cdbdb4afe80b"),
 ]
+
+
+def _book_id(family, n, kw):
+    q = kw.get("q", 2)
+    # a row-product book over a q that is not a power of two is named by q,
+    # so its id differs from the pinned power-of-two ones
+    tag = f"-q{q}" if family in ("c2b", "ctb") and q & (q - 1) else ""
+    return f"{family}-n{n}-{len(kw)}{tag}"
+
+
+def _ctb_member_test(spec):
+    params = CtbParams(spec.n, spec.q, spec.t, **spec.params)
+    labeler = BlockLabeler(ctb_oracles(params))
+    return lambda u: ctb_member(u, params, labeler)
+
+
+def _perm_member_test(spec):
+    params = PermCodeParams(spec.n, spec.t, **spec.params)
+    labeler = perm_labeler(params)
+    return lambda pi: perm_member(pi, params, labeler)
+
+
+def _loc_member_test(spec):
+    p = spec.params
+    dp = DensityParams(spec.n, spec.t, p["delta"])
+    return lambda x: loc_member(x, p["c0"], p["c1"], dp)
+
+
+# family -> spec -> membership test of the spec's code, through the residue
+# maps and the member functions
+MEMBER_TESTS = {
+    "vt": lambda s: lambda x: vt_residues(x, s.n) == (s.params["a"],),
+    "tenengolts": lambda s: lambda u: (
+        tenengolts_residues(u, s.n, s.q) == (s.params["a"], s.params["b"])
+    ),
+    "levenshtein": lambda s: lambda x: (
+        levenshtein_residues(x, s.n) == (s.params["a"],)
+    ),
+    "induced": lambda s: lambda u: is_alternating(u) and (
+        induced_residues(u, s.n, s.q)
+        == (s.params["a"], s.params["b"], s.params["c"])
+    ),
+    "pbounded": lambda s: lambda x: (
+        pbounded_member(x, PBoundedParams(s.n, **s.params))
+    ),
+    "pll_lev": lambda s: lambda x: pll_lev_residues(x, s.n) == (s.params["a"],),
+    "loc": _loc_member_test,
+    "c2b": lambda s: lambda u: c2b_member(u, C2BParams(s.n, s.q, **s.params)),
+    "ctb": _ctb_member_test,
+    "perm": _perm_member_test,
+}
 
 
 class TestRegistry:
     @pytest.mark.parametrize(
         "family, n, kw, digest", REGISTRY_BOOKS,
-        ids=[f"{fam}-n{n}-{len(kw)}" for fam, n, kw, _ in REGISTRY_BOOKS],
+        ids=[_book_id(fam, n, kw) for fam, n, kw, _ in REGISTRY_BOOKS],
     )
     def test_sieve_digest_and_sweep(self, family, n, kw, digest):
         book = sieve(family, n, **kw)
         assert hashlib.sha256(book.to_json().encode()).hexdigest() == digest
+        is_member = MEMBER_TESTS[family](book.spec)
+        assert all(is_member(w) for w in book.words)
         if FAMILIES[family].decoder is None:
             with pytest.raises(ValueError):
                 book_decoder(book)
@@ -90,6 +170,7 @@ class TestRegistry:
 
     def test_every_family_is_pinned(self):
         assert {fam for fam, *_ in REGISTRY_BOOKS} == set(FAMILIES)
+        assert set(MEMBER_TESTS) == set(FAMILIES)
 
     def test_cli_choices_are_the_registry(self, capsys):
         assert main(["sieve", "--help"]) == 0
