@@ -160,9 +160,7 @@ def _one_deletion_candidates(yp: tuple, delta: int, modulus: int) -> list:
     return out
 
 
-def _two_deletion_candidates(
-    yp: tuple, delta: int, modulus: int, prefix_cases: bool = True
-) -> list:
+def _two_deletion_candidates(yp: tuple, delta: int, modulus: int) -> list:
     """Reconstructions of y from y' after two consecutive deletions in x.
 
     Two consecutive deletions replace an adjacent triple of y by its xor
@@ -185,12 +183,11 @@ def _two_deletion_candidates(
     for r1 in range(w + 1):
         if hit(2 * r1):
             out.append(_insert_zero_before_ones(yp, r1, (0, 0)))
-    if prefix_cases:
-        # prefix 10 / 01 of y deleted
-        if hit(2 * w + 1):
-            out.append((1, 0) + yp)
-        if hit(2 * w + 2):
-            out.append((0, 1) + yp)
+    # prefix 10 / 01 of y deleted
+    if hit(2 * w + 1):
+        out.append((1, 0) + yp)
+    if hit(2 * w + 2):
+        out.append((0, 1) + yp)
     # 11 inserted back (covers 011/110/111 collapses): delta = 2p + 1 + 2*R1(p)
     r1 = 0
     for p in range(len(yp) + 1, 0, -1):
@@ -257,8 +254,9 @@ def induced_decode(up: tuple, a: int, b: int, c: int, n: int, q: int) -> tuple:
         raise ValueError("induced_decode expects length n-2")
     yp = interleaved_psi(up)
     delta = (a - vt_syndrome(yp)) % (2 * n)
-    # induced deletions never produce the prefix cases of the general decoder
-    candidates = _two_deletion_candidates(yp, delta, 2 * n, prefix_cases=False)
+    # induced deletions never produce the prefix cases of the general
+    # decoder; the filters below drop those candidates
+    candidates = _two_deletion_candidates(yp, delta, 2 * n)
     v_odd = (b - sum(up[0::2])) % q
     v_even = (c - sum(up[1::2])) % q
     found = set()

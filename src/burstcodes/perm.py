@@ -174,9 +174,7 @@ def pleqt_decode(pip: tuple, params: PermCodeParams, labeler) -> tuple:
     # one substring edit of length <= 2t inside the window repairs the
     # ranking sequence, by the block scheme of the binary block code
     pp = overlap_ranks(pip, t)
-    p = cpb_decode(
-        pp, n - t, p_window, params.sums, labeler, params.P, model="edit", t=t
-    )
+    p = cpb_decode(pp, n - t, p_window, params.sums, labeler, params.P)
     pi = reconstruct(pip, missing, p, t)
     if not any(burst_starts(pi, pip, t)):
         raise NotDecodableError("reconstruction is not burst-consistent")

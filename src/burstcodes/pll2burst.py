@@ -248,7 +248,10 @@ def c2b_decode(up: tuple, params: C2BParams) -> tuple:
     rows = [row1]
     for i in range(1, len(rows_rx)):
         rows.append(pbounded_decode(rows_rx[i], params.row_params(i - 1), m))
-    u = from_matrix(tuple(rows), params.q)
+    try:
+        u = from_matrix(tuple(rows), params.q)
+    except ValueError as exc:  # a column decodes to a symbol >= q
+        raise NotDecodableError(str(exc)) from None
     if not any(burst_starts(u, up, 2)):
         raise NotDecodableError("reassembled word is not burst-consistent")
     return u

@@ -98,9 +98,10 @@ def locate_burst(
 ) -> Interval:
     """Interval covering every burst position consistent with the syndromes.
 
-    Scans all candidate bursts of the observed length whose reinsertion lands
-    back in the localization code; the code design keeps all consistent
-    starts within a window of length delta.
+    Tests each distinct reinsertion of a burst of the observed length for
+    membership in the localization code once, and takes the starts of every
+    member's bursts; the code design keeps all consistent starts within a
+    window of length delta.
     """
     check_binary(xp)
     tprime = dp.n - len(xp)
@@ -110,15 +111,17 @@ def locate_burst(
         return Interval(1, 1)
     if not 1 <= tprime <= dp.t:
         raise ValueError("burst longer than t")
-    starts = []
-    for s in range(1, len(xp) + 2):
-        for bits in product((0, 1), repeat=tprime):
-            cand = xp[: s - 1] + bits + xp[s - 1 :]
-            if loc_member(cand, c0, c1, dp) and (
-                extra_check is None or extra_check(cand)
-            ):
-                starts.append(s)
-                break
+    reinsertions = {
+        xp[: s - 1] + bits + xp[s - 1 :]
+        for s in range(1, len(xp) + 2)
+        for bits in product((0, 1), repeat=tprime)
+    }
+    starts = [
+        s
+        for x in reinsertions
+        if loc_member(x, c0, c1, dp) and (extra_check is None or extra_check(x))
+        for s in burst_starts(x, xp, tprime)
+    ]
     if not starts:
         raise NotDecodableError("localization syndromes inconsistent")
     return Interval(min(starts), max(starts) + tprime - 1)
@@ -236,24 +239,13 @@ def dense_encode(x: tuple, dp: DensityParams) -> tuple:
         if found is None:
             break
         i = found
-        if i <= nn - delta + 1:
-            s = tuple(E[i - 1 : i - 1 + delta])
-            del E[i - 1 : i - 1 + delta]
-            rec = (
-                _int_to_bits(i, clog) + compress_g(s, dp) + _record_tail(0, dp)
-            )
-            E.extend(rec)
-            nn -= delta
-        else:
-            e = i + delta - nn - 1
-            assert 1 <= e <= 2 * t - 1
-            s = tuple(E[i - 1 : nn]) + (0,) * e
-            del E[i - 1 : nn]
-            rec = (
-                _int_to_bits(i, clog) + compress_g(s, dp) + _record_tail(e, dp)
-            )
-            E.extend(rec)
-            nn = i - 1
+        # a window running e bits past the core is cut short and padded
+        e = max(0, i + delta - nn - 1)
+        assert e <= 2 * t - 1
+        s = tuple(E[i - 1 : i - 1 + delta - e]) + (0,) * e
+        del E[i - 1 : i - 1 + delta - e]
+        E.extend(_int_to_bits(i, clog) + compress_g(s, dp) + _record_tail(e, dp))
+        nn -= delta - e
     out = tuple(E)
     assert len(out) == n + 4 * t
     return out
@@ -333,14 +325,13 @@ def _descendants(v: tuple, t: int, model: str) -> set:
         raise ValueError(f"unknown error model {model!r}")
     # replace a substring of length l1 <= 2t by any string of length
     # l2 <= 2t (identity included)
-    out = set()
-    for l1 in range(0, 2 * t + 1):
-        for s in range(len(v) - l1 + 1):
-            head, tail = v[:s], v[s + l1 :]
-            for l2 in range(0, 2 * t + 1):
-                for m in product((0, 1), repeat=l2):
-                    out.add(head + m + tail)
-    return out
+    fills = [m for l2 in range(2 * t + 1) for m in product((0, 1), repeat=l2)]
+    return {
+        v[:s] + m + v[s + l1 :]
+        for l1 in range(2 * t + 1)
+        for s in range(len(v) - l1 + 1)
+        for m in fills
+    }
 
 
 ORACLE_MAX_K = 20
@@ -353,23 +344,22 @@ def oracle_build_brute(k: int, t: int, model: str) -> SyndromeOracle:
     if k > ORACLE_MAX_K:
         raise ValueError(f"oracle build limited to k <= {ORACLE_MAX_K}")
     labels = {}
-    colors_at = {}  # descendant -> set of labels already using it
-    top = 0
+    used = {}  # descendant -> bit mask of the labels of blocks reaching it
     for v in product((0, 1), repeat=k):
         descs = _descendants(v, t, model)
-        forbidden = set()
+        forbidden = 0
         for d in descs:
-            got = colors_at.get(d)
-            if got:
-                forbidden |= got
-        label = 0
-        while label in forbidden:
-            label += 1
+            forbidden |= used.get(d, 0)
+        # the lowest clear bit of forbidden
+        label = (~forbidden & (forbidden + 1)).bit_length() - 1
         labels[v] = label
-        top = max(top, label + 1)
+        bit = 1 << label
         for d in descs:
-            colors_at.setdefault(d, set()).add(label)
-    return SyndromeOracle(k=k, t=t, model=model, labels=labels, label_space=top)
+            used[d] = used.get(d, 0) | bit
+    return SyndromeOracle(
+        k=k, t=t, model=model, labels=labels,
+        label_space=max(labels.values()) + 1,
+    )
 
 
 _ORACLE_MAGIC = b"BCOR1"
@@ -414,10 +404,7 @@ class BlockLabeler:
     def __init__(self, oracles: dict):
         self.oracles = oracles
         self.modulus = max(o.label_space for o in oracles.values())
-
-    @property
-    def alphabet(self) -> tuple:
-        return (0, 1)
+        self.alphabet = (0, 1)
 
     def label(self, block: tuple) -> int:
         return self.oracles[len(block)].labels[block]
@@ -435,11 +422,7 @@ class QaryBlockLabeler:
         self.modulus = max(
             o.label_space ** self.nrows for o in oracles.values()
         )
-        self._alphabet = alphabet
-
-    @property
-    def alphabet(self) -> tuple:
-        return self._alphabet
+        self.alphabet = alphabet
 
     def label(self, block: tuple) -> int:
         oracle = self.oracles[len(block)]
@@ -521,13 +504,11 @@ def cpb_decode(
     sums: tuple,
     labeler,
     P: int,
-    model: str = "burst",
-    t: Optional[int] = None,
 ) -> tuple:
     """Correct a burst (or one substring edit) confined to `window` using the
     stored block-label sums: every block outside the window is intact, the
     damaged block's label is solved from the residue equations and inverted
-    through the oracle."""
+    through the oracle, whose error model and t set the candidates."""
     tprime = n - len(xp)
     if tprime == 0:
         if block_syndromes(xp, P, labeler) != sums:
@@ -564,15 +545,14 @@ def cpb_decode(
     z = xpad[sp.lo - 1 : sp.hi - tprime]
     rel_lo = max(1, window.lo - sp.lo + 1)
     rel_hi = min(block_len, window.hi - sp.lo + 1)
-    if model == "burst":
+    oracle = labeler.oracles[block_len]
+    if oracle.model == "burst":
         gen = _burst_candidates(
             z, rel_lo, rel_hi, tprime, labeler.alphabet, block_len
         )
     else:
-        if t is None:
-            raise ValueError("edit model requires t")
         gen = _edit_candidates(
-            z, rel_lo, rel_hi, tprime, t, labeler.alphabet, block_len
+            z, rel_lo, rel_hi, tprime, oracle.t, labeler.alphabet, block_len
         )
     found = {cand for cand in gen if labeler.label(cand) == missing}
     if len(found) != 1:
@@ -656,7 +636,10 @@ def ctb_decode(up: tuple, params: CtbParams, labeler: BlockLabeler) -> tuple:
         )
         for i in range(len(rows_rx))
     ]
-    u = from_matrix(tuple(rows), params.q)
+    try:
+        u = from_matrix(tuple(rows), params.q)
+    except ValueError as exc:  # a column decodes to a symbol >= q
+        raise NotDecodableError(str(exc)) from None
     if not any(burst_starts(u, up, params.t)):
         raise NotDecodableError("reassembled word is not burst-consistent")
     return u

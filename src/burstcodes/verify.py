@@ -782,13 +782,12 @@ def roundtrip_sweep(
     book: Codebook,
     decoder: Callable[[tuple, tuple, Burst], tuple],
     t: int,
-    upto: bool = True,
 ) -> SweepReport:
     """Apply every admissible corruption to every codeword and decode.
 
     decoder(codeword, corrupted, burst) may use the burst only as window
     side information.  The corruptions are those of the book family's
-    channel: bursts of deletions, or induced deletions aba -> a."""
+    channel: bursts of at most t deletions, or induced deletions aba -> a."""
     induced = get_family(book.spec.family).channel == "induced"
     total = 0
     failures = []
@@ -798,7 +797,7 @@ def roundtrip_sweep(
                 (res, Burst(pos, 2)) for pos, res in classic.induced_deletions(w)
             ]
         else:
-            cases = [(apply_burst(w, b), b) for b in bursts(len(w), t, upto)]
+            cases = [(apply_burst(w, b), b) for b in bursts(len(w), t, upto=True)]
         total += len(cases)
         for corrupted, b in cases:
             try:

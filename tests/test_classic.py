@@ -5,6 +5,7 @@ over the whole ambient space, corrupt every codeword every admissible way,
 and require exact recovery.
 """
 import random
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -23,8 +24,11 @@ from burstcodes.classic import (
     vt_decode,
     vt_residues,
 )
+from burstcodes.perm import PermCodeParams, perm_labeler, perm_member
 from burstcodes.pll2burst import (
+    C2BParams,
     PBoundedParams,
+    c2b_member,
     pbounded_decode,
     pbounded_residues,
 )
@@ -39,6 +43,7 @@ from burstcodes.seqcore import (
     psi,
     vt_syndrome,
 )
+from burstcodes.tburst import BlockLabeler, CtbParams, ctb_member, ctb_oracles
 from burstcodes.verify import sieve, book_decoder, roundtrip_sweep
 
 
@@ -174,7 +179,7 @@ class TestSweepHarness:
         book = sieve("vt", 6)
         wrong_a = (book.spec.params["a"] + 1) % 7
         bad = lambda w, rx, b: vt_decode(rx, wrong_a, 6)
-        rep = roundtrip_sweep(book, bad, 1, upto=False)
+        rep = roundtrip_sweep(book, bad, 1)
         assert not rep.ok
 
 
@@ -194,10 +199,71 @@ def _alternating(rng, length, q):
     return tuple(u)
 
 
+# sieved books of the contract test: (family, n, sieve options, inputs);
+# in the q = 6 books the decoded rows can reassemble into a symbol >= q
+CONTRACT_BOOKS = {
+    "c2b-q4": ("c2b", 12, {"q": 4}, 3000),
+    "c2b-q6": ("c2b", 10, {"q": 6, "max_words": 4000}, 3000),
+    "ctb-q4": ("ctb", 12, {"q": 4, "t": 2, "delta": 6, "P": 8}, 2000),
+    "ctb-q6": ("ctb", 12, {"q": 6, "t": 1, "delta": 4, "P": 4}, 4000),
+    # a perm decode labels thousands of edit candidates: about 20 ms
+    "perm": ("perm", 8, {"t": 2, "delta": 8, "P": 6}, 150),
+}
+
+
+@lru_cache(maxsize=None)
+def _contract_book(label):
+    """(book, decoder, membership test) of a sieved book of the contract
+    test."""
+    family, n, kw, _ = CONTRACT_BOOKS[label]
+    book = sieve(family, n, **kw)
+    spec, decode = book.spec, book_decoder(book)
+    if family == "c2b":
+        params = C2BParams(n, spec.q, **spec.params)
+        return book, decode, lambda u: c2b_member(u, params)
+    if family == "ctb":
+        params = CtbParams(n, spec.q, spec.t, **spec.params)
+        labeler = BlockLabeler(ctb_oracles(params))
+        return book, decode, lambda u: ctb_member(u, params, labeler)
+    params = PermCodeParams(n, spec.t, **spec.params)
+    labeler = perm_labeler(params)
+    return book, decode, lambda pi: perm_member(pi, params, labeler)
+
+
+def _book_case(rng, label):
+    """A codeword or a uniform word (for perm: permutation) less a burst,
+    with one symbol redrawn (for perm: two entries swapped) half of the
+    time.  The check holds iff the output is a codeword whose burst ball
+    contains the input."""
+    book, decode, member = _contract_book(label)
+    n, q, t = book.spec.n, book.spec.q, book.spec.t
+    if rng.random() < 0.5:
+        w = rng.choice(book.words)
+    elif label == "perm":
+        w = tuple(rng.sample(range(1, n + 1), n))
+    else:
+        w = tuple(rng.randrange(q) for _ in range(n))
+    d = rng.randint(1, t)
+    rx = list(apply_burst(w, Burst(rng.randint(1, n - d + 1), d)))
+    if rng.random() < 0.5:
+        i, j = rng.randrange(len(rx)), rng.randrange(len(rx))
+        if label == "perm":
+            rx[i], rx[j] = rx[j], rx[i]
+        else:
+            rx[i] = rng.randrange(q)
+    rx = tuple(rx)
+    return (lambda: decode(None, rx, None)), lambda u: (
+        member(u) and any(burst_starts(u, rx, t))
+    )
+
+
 def _contract_case(rng, family, n):
     """One arbitrary input: (decode thunk, check of its output).  The check
     holds iff the output has the drawn residues and its ball (for pbounded:
-    a burst inside the window [m, m+P-1]) contains the input."""
+    a burst inside the window [m, m+P-1]) contains the input.  The sieved
+    books of CONTRACT_BOOKS draw their inputs in _book_case."""
+    if family in CONTRACT_BOOKS:
+        return _book_case(rng, family)
     q, P = 4, n // 2
     if family == "vt":
         a, rx = rng.randrange(n + 1), _bits(rng, n - 1)
@@ -238,16 +304,23 @@ def _contract_case(rng, family, n):
     )
 
 
-@pytest.mark.parametrize("n", [8, 12])
+CONTRACT_CASES = [
+    (family, n)
+    for family in ("vt", "tenengolts", "levenshtein", "induced", "pbounded")
+    for n in (8, 12)
+] + [(label, CONTRACT_BOOKS[label][1]) for label in CONTRACT_BOOKS]
+
+
 @pytest.mark.parametrize(
-    "family", ["vt", "tenengolts", "levenshtein", "induced", "pbounded"]
+    "family, n", CONTRACT_CASES, ids=[f"{f}-{n}" for f, n in CONTRACT_CASES]
 )
 def test_decoder_contract_on_arbitrary_input(family, n):
     # a decoder either refuses or returns a word of its code whose ball
     # contains the input, never a wrong answer; both outcomes must occur
     rng = random.Random(f"{family}/{n}")
     outcomes = {"refused": 0, "decoded": 0}
-    for _ in range(5000):
+    inputs = CONTRACT_BOOKS[family][3] if family in CONTRACT_BOOKS else 5000
+    for _ in range(inputs):
         decode, holds = _contract_case(rng, family, n)
         try:
             got = decode()

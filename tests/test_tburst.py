@@ -1,5 +1,6 @@
 """Tests for dense-pattern machinery: indicators, localization, pattern-free
 compression, dense encoding, syndrome oracles, and the block-parity code."""
+import hashlib
 import itertools
 import random
 
@@ -40,6 +41,10 @@ from burstcodes import verify
 
 # admissible compression parameters: 3^41 < 2^66
 DP1 = DensityParams(1024, 1, 82)
+
+
+def _digest(values) -> str:
+    return hashlib.sha256(repr(values).encode()).hexdigest()
 
 
 class TestIndicator:
@@ -102,6 +107,30 @@ class TestLocate:
         dp = DensityParams(12, 2, loc_book.spec.params["delta"])
         c0, c1 = loc_book.spec.params["c0"], loc_book.spec.params["c1"]
         assert locate_burst(loc_book.words[0], c0, c1, dp) == Interval(1, 1)
+
+    def test_intervals_match_recorded_digest(self, loc_book):
+        # every burst of every word, one bit then flipped in about half of
+        # the cases, located with and without a balance check; the digest
+        # was recorded from the scan over every (start, bits) reinsertion
+        dp = DensityParams(12, 2, loc_book.spec.params["delta"])
+        c0, c1 = loc_book.spec.params["c0"], loc_book.spec.params["c1"]
+        rng = random.Random(7)
+        out = []
+        for x in loc_book.words:
+            for b in bursts(12, 2, upto=True):
+                rx = list(apply_burst(x, b))
+                if rng.random() < 0.5:
+                    rx[rng.randrange(len(rx))] ^= 1
+                for check in (None, lambda c: sum(c) == 6):
+                    try:
+                        iv = locate_burst(tuple(rx), c0, c1, dp, check)
+                        out.append((iv.lo, iv.hi))
+                    except NotDecodableError:
+                        out.append(None)
+        assert len(out) == 10350 and out.count(None) == 3129
+        assert _digest(out) == (
+            "84b6199502105a00654165a718ae069c2f294aa42d32026403024279c646ccc6"
+        )
 
 
 class TestCompression:
@@ -181,8 +210,65 @@ class TestDenseEncoding:
         with pytest.raises(ValueError):
             dense_encode((0,) * 10, DP1)
 
+    def test_records_match_recorded_digest(self):
+        # words of long runs cut pattern-free windows; a quarter end in
+        # 0 1^a 0^(63-a), whose window runs one bit past the core and is cut
+        # as a padded record; the digest was recorded from the two-branch
+        # record code
+        dp = DensityParams(128, 1, 64)
+        rng = random.Random(9)
+        outs = []
+        for _ in range(300):
+            longest = rng.choice((8, 32, 64, 128))
+            x, bit = [], rng.randint(0, 1)
+            while len(x) < 128:
+                x.extend([bit] * rng.randint(1, longest))
+                bit ^= 1
+            x = x[:128]
+            if rng.random() < 0.25:
+                a = rng.randint(1, 63)
+                x[64:] = [0] + [1] * a + [0] * (63 - a)
+            outs.append(dense_encode(tuple(x), dp))
+        assert _digest(outs) == (
+            "2e6f481e33ab30571c2e9c12f934ade28399a4467d7a8a917c10b09cb4778036"
+        )
+
+
+# (model, k, t, label_space, SHA-256 of the label table in product order),
+# recorded from the set-based greedy colouring
+ORACLE_DIGESTS = [
+    ("burst", 8, 1, 17, "3601a9c8c2f055a22c99d706ac2796495de10bee8aa9a59763415ebbd41032eb"),
+    ("burst", 8, 2, 31, "925755c32549f0425a44b368c98272582ea4f3ac6a46f225b4e78b5f50ddbe24"),
+    ("burst", 8, 3, 46, "ac982e9bf734ded4806abba1b499c1d65943f9151cc209cf66a288f7f9a22a49"),
+    ("burst", 10, 1, 24, "76d10f5866893cc7ad2a6688234bee1a40813ac7ad6315a0799a1538096391f5"),
+    ("burst", 10, 2, 40, "b27ac095b8d75a64b62396c2f25b9e83ffef96d63ad56024e07bcc9d8fc70cc4"),
+    ("burst", 10, 3, 68, "7cc1a20db551ec76eb154a5725b23e574f8de175b2379e1fd0b6fd3be86ebe79"),
+    ("burst", 12, 1, 32, "6151adaaa2f99e36752ba91380a8e297ec6c294e8e4ca7c8f0d5cee2caf094af"),
+    ("burst", 12, 2, 54, "8acc0f61832aedfe7382cf9ed336b670f51f46ba2aa27c643c44f711a46f2785"),
+    ("burst", 12, 3, 92, "31f49571640bc330339c81449dbf832207fe9ac762db03f809f4002b56ac2455"),
+    ("burst", 14, 1, 38, "0db257e5f8f4a8d8f35e4a87bae75f8f2281d1b5763a6723637451045e82e7f6"),
+    ("burst", 14, 2, 68, "f20a7b5baa5df94926810120fa7059df703d6d94955db74930b9c2368b4a3afa"),
+    ("burst", 14, 3, 118, "eef28231108bab57bcddc9ed770be8316936ab111327e90b901ea114e4bbeed0"),
+    ("edit", 6, 1, 33, "1177865bd0f7f52f3332ad3ebbbd62cf5cc31a71c75050e94d957fa9dd92573b"),
+    ("edit", 6, 2, 64, "ccf91e2b960f51464b77d855d580f583fe4e1cf0472832315bad6d855cf732f6"),
+    ("edit", 8, 1, 54, "f86e0007cbf58dbe4fb15d9125ca88e49ae945f305f578bb1645e1993842eebc"),
+    ("edit", 8, 2, 256, "ce694d5c7d7c923baab12ec1d6802c1c51fd2b080f75601205f07d9129708f35"),
+    ("edit", 10, 1, 81, "7571a6f6907a56a0dbf6a2ff21f4c3bf3ded5d405f1879165066a1eaf355dafd"),
+    ("edit", 10, 2, 503, "d23bce5855e96b34a3aa09a320a2f2d75ff0082e2b6795fc24215acb515fb73a"),
+]
+
 
 class TestOracles:
+    @pytest.mark.parametrize(
+        "model, k, t, space, digest", ORACLE_DIGESTS,
+        ids=[f"{m}-k{k}-t{t}" for m, k, t, _, _ in ORACLE_DIGESTS],
+    )
+    def test_label_table_matches_recorded_digest(self, model, k, t, space, digest):
+        oracle = oracle_build_brute(k, t, model)
+        assert oracle.label_space == space
+        table = [oracle.labels[v] for v in itertools.product((0, 1), repeat=k)]
+        assert _digest(table) == digest
+
     def test_confusable_blocks_distinct_labels(self):
         from burstcodes.tburst import _descendants
 
