@@ -9,9 +9,12 @@ confusable under the declared error model receive distinct labels.
 from __future__ import annotations
 
 import struct
+import sys
+from array import array
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
+from operator import or_
 from typing import Callable, Optional
 
 from .seqcore import (
@@ -23,7 +26,6 @@ from .seqcore import (
     ceil_log2,
     check_binary,
     check_symbols,
-    deletion_ball,
     from_matrix,
     matrix_rows,
     to_matrix,
@@ -207,13 +209,20 @@ def _record_tail(e: int, dp: DensityParams) -> tuple:
     return (1,) + dp.w + _closing(e, dp.t) + (0,)
 
 
-def _no_occurrence(E: list, i: int, j_hi: int, w: tuple) -> bool:
-    """No occurrence of w starts in [i, j_hi] (1-based, bounds-safe)."""
-    wl = len(w)
-    for j in range(i - 1, j_hi):
-        if tuple(E[j : j + wl]) == w:
-            return False
-    return True
+def _pattern_free_start(E: list, nn: int, delta: int, w: tuple) -> Optional[int]:
+    """The least i <= nn (1-based) such that no occurrence of w in E starts
+    in [i, i + delta - |w|], or None.  Past an occurrence at p (or from 1)
+    the first such i is p + 1, so only the gaps between occurrences count."""
+    b, wb = bytes(E), bytes(w)
+    span = delta - len(w)
+    prev = 0  # 1-based start of the previous occurrence
+    j = b.find(wb)
+    while prev < nn:
+        if j < 0 or j + 1 > prev + 1 + span:
+            return prev + 1
+        prev = j + 1
+        j = b.find(wb, j + 1)
+    return None
 
 
 def dense_encode(x: tuple, dp: DensityParams) -> tuple:
@@ -231,14 +240,9 @@ def dense_encode(x: tuple, dp: DensityParams) -> tuple:
     E = list(x) + list(dp.w + dp.w)
     nn = n
     while True:
-        found = None
-        for i in range(1, nn + 1):
-            if _no_occurrence(E, i, i + delta - 2 * t, dp.w):
-                found = i
-                break
-        if found is None:
+        i = _pattern_free_start(E, nn, delta, dp.w)
+        if i is None:
             break
-        i = found
         # a window running e bits past the core is cut short and padded
         e = max(0, i + delta - nn - 1)
         assert e <= 2 * t - 1
@@ -254,7 +258,8 @@ def dense_encode(x: tuple, dp: DensityParams) -> tuple:
 def dense_decode(y: tuple, dp: DensityParams) -> tuple:
     """Invert dense_encode: walk trailer records keyed on the last bit
     (0 = record, 1 = the initialization marker w w), with backtracking over
-    the record's pad amount."""
+    the record's pad amount.  A walk ends in the word whose encoding is y;
+    any other y is refused."""
     check_binary(y)
     _check_capacity(dp)
     n, t, delta = dp.n, dp.t, dp.delta
@@ -268,7 +273,9 @@ def dense_decode(y: tuple, dp: DensityParams) -> tuple:
             return None
         if cur[-1] == 1:
             if len(cur) == n + 4 * t and cur[n:] == dp.w + dp.w:
-                return cur[:n]
+                # a walk can undo records the encoder would not have made
+                if dense_encode(cur[:n], dp) == y:
+                    return cur[:n]
             return None
         for e in range(0, 2 * t):
             rec_len = delta - e
@@ -305,33 +312,46 @@ def dense_decode(y: tuple, dp: DensityParams) -> tuple:
 # ---------------------------------------------------------------------------
 # brute-force syndrome oracles
 
+# A binary block of length k is held as an int, its first bit the most
+# significant, so range(2**k) runs in the order of product((0, 1), repeat=k).
+# A descendant, whose length varies, is held as the length-tagged int
+# (1 << len) | bits.
+
 
 @dataclass
 class SyndromeOracle:
     """Exchangeable labeling of binary blocks of a fixed length: confusable
-    blocks (their error balls intersect) always receive distinct labels."""
+    blocks (their error balls intersect) always receive distinct labels.
+    labels[v] is the label of the block whose bits spell the int v."""
 
     k: int
     t: int
     model: str  # "burst" (<= t consecutive deletions) or "edit"
-    labels: dict = field(repr=False)
+    labels: array = field(repr=False)
     label_space: int = 0
 
 
-def _descendants(v: tuple, t: int, model: str) -> set:
+def _ball(k: int, t: int, model: str) -> list:
+    """The error ball of a k-bit block as substring replacements (s, l1, l2):
+    the l1 bits after the first s give way to any string of l2 bits."""
     if model == "burst":
-        return deletion_ball(v, t, upto=True)
+        if not 1 <= t <= k:
+            raise ValueError("require 1 <= t <= k")
+        # delete d <= t consecutive bits
+        return [(s, d, 0) for d in range(1, t + 1) for s in range(k - d + 1)]
     if model != "edit":
         raise ValueError(f"unknown error model {model!r}")
     # replace a substring of length l1 <= 2t by any string of length
-    # l2 <= 2t (identity included)
-    fills = [m for l2 in range(2 * t + 1) for m in product((0, 1), repeat=l2)]
-    return {
-        v[:s] + m + v[s + l1 :]
+    # l2 <= 2t (identity included).  Widened by a neighbouring bit of v,
+    # which a fill one bit longer can put back, a replacement yields all it
+    # did: only those that cannot widen (l1 or l2 = 2t, or l1 = k) count
+    return [
+        (s, l1, l2)
         for l1 in range(2 * t + 1)
-        for s in range(len(v) - l1 + 1)
-        for m in fills
-    }
+        for l2 in range(2 * t + 1)
+        for s in range(k - l1 + 1)
+        if 2 * t in (l1, l2) or l1 == k
+    ]
 
 
 ORACLE_MAX_K = 20
@@ -343,22 +363,40 @@ def oracle_build_brute(k: int, t: int, model: str) -> SyndromeOracle:
     length k, in lexicographic vertex order (deterministic)."""
     if k > ORACLE_MAX_K:
         raise ValueError(f"oracle build limited to k <= {ORACLE_MAX_K}")
-    labels = {}
-    used = {}  # descendant -> bit mask of the labels of blocks reaching it
-    for v in product((0, 1), repeat=k):
-        descs = _descendants(v, t, model)
-        forbidden = 0
-        for d in descs:
-            forbidden |= used.get(d, 0)
+    shapes = _ball(k, t, model)
+    longest = max(k - l1 + l2 for _, l1, l2 in shapes)
+    # descendant -> bit mask of the labels of blocks reaching it
+    used = [0] * (2 << longest)
+    # a descendant is the top s bits of v, tagged, then the fill, then the
+    # low bits v & keep: a deletion makes one, a fill of l2 bits a range of
+    # 2^l2 ints `step` apart
+    deletions = [
+        (k - s, 1 << s, k - s - l1, (1 << (k - s - l1)) - 1)
+        for s, l1, l2 in shapes
+        if not l2
+    ]
+    fills = [
+        (k - s, 1 << s, k - s - l1 + l2, (1 << (k - s - l1)) - 1, 1 << (k - s - l1))
+        for s, l1, l2 in shapes
+        if l2
+    ]
+    labels = array("I", [0]) * (1 << k)
+    for v in range(1 << k):
+        descs = {
+            (((v >> a) | tag) << low) | (v & keep) for a, tag, low, keep in deletions
+        }
+        for a, tag, width, keep, step in fills:
+            base = (((v >> a) | tag) << width) | (v & keep)
+            descs.update(range(base, base + (1 << width), step))
+        forbidden = reduce(or_, map(used.__getitem__, descs), 0)
         # the lowest clear bit of forbidden
         label = (~forbidden & (forbidden + 1)).bit_length() - 1
         labels[v] = label
         bit = 1 << label
         for d in descs:
-            used[d] = used.get(d, 0) | bit
+            used[d] |= bit
     return SyndromeOracle(
-        k=k, t=t, model=model, labels=labels,
-        label_space=max(labels.values()) + 1,
+        k=k, t=t, model=model, labels=labels, label_space=max(labels) + 1
     )
 
 
@@ -367,7 +405,12 @@ _MODEL_TAGS = {"burst": 0, "edit": 1}
 
 
 def oracle_save(oracle: SyndromeOracle, path: str) -> None:
-    """Serialize a binary-block oracle: versioned header + uint32 table."""
+    """Serialize a binary-block oracle: versioned header + the label table
+    as little-endian uint32 in block-value order."""
+    table = oracle.labels
+    if sys.byteorder == "big":
+        table = array("I", table)
+        table.byteswap()
     with open(path, "wb") as fh:
         fh.write(_ORACLE_MAGIC)
         fh.write(
@@ -379,10 +422,7 @@ def oracle_save(oracle: SyndromeOracle, path: str) -> None:
                 oracle.label_space,
             )
         )
-        table = [0] * (1 << oracle.k)
-        for v, lab in oracle.labels.items():
-            table[_bits_to_int(v)] = lab
-        fh.write(struct.pack(f"<{len(table)}I", *table))
+        fh.write(table.tobytes())
 
 
 def oracle_load(path: str) -> SyndromeOracle:
@@ -391,30 +431,24 @@ def oracle_load(path: str) -> SyndromeOracle:
             raise ValueError("not an oracle file")
         k, t, tag, space = struct.unpack("<BBBI", fh.read(7))
         model = {v: k_ for k_, v in _MODEL_TAGS.items()}[tag]
-        table = struct.unpack(f"<{1 << k}I", fh.read(4 * (1 << k)))
-    labels = {
-        v: table[_bits_to_int(v)] for v in product((0, 1), repeat=k)
-    }
+        data = fh.read(4 << k)
+    if len(data) != 4 << k:
+        raise ValueError("truncated oracle file")
+    labels = array("I", data)
+    if sys.byteorder == "big":
+        labels.byteswap()
     return SyndromeOracle(k=k, t=t, model=model, labels=labels, label_space=space)
-
-
-class BlockLabeler:
-    """Label lookup for binary blocks of the lengths appearing in a split."""
-
-    def __init__(self, oracles: dict):
-        self.oracles = oracles
-        self.modulus = max(o.label_space for o in oracles.values())
-        self.alphabet = (0, 1)
-
-    def label(self, block: tuple) -> int:
-        return self.oracles[len(block)].labels[block]
 
 
 class QaryBlockLabeler:
     """Per-row composition: a q-ary block is labeled by the tuple of labels
-    of its bit-matrix rows, packed into one integer.  A substring edit of the
-    block is a same-window substring edit of every row, so confusable q-ary
-    blocks differ in some row and receive distinct labels."""
+    of its bit-matrix rows, packed into one integer, row 1 most significant.
+    A substring edit of the block is a same-window substring edit of every
+    row, so confusable q-ary blocks differ in some row and receive distinct
+    labels.
+
+    Words reach `label` and `solve` as their rows (see `rows`), so a block's
+    rows are taken from a word's by shift and mask."""
 
     def __init__(self, q: int, oracles: dict, alphabet: tuple):
         self.nrows = matrix_rows(q)
@@ -424,19 +458,112 @@ class QaryBlockLabeler:
         )
         self.alphabet = alphabet
 
-    def label(self, block: tuple) -> int:
-        oracle = self.oracles[len(block)]
-        rows = to_matrix(block, 1 << self.nrows)
+    def rows(self, u: tuple) -> tuple:
+        """The rows of u's bit matrix, each as an int whose most significant
+        bit is that of u's first symbol."""
+        check_symbols(u, 1 << self.nrows)
+        rows = []
+        for r in range(self.nrows):
+            row = 0
+            for s in u:
+                row = (row << 1) | ((s >> r) & 1)
+            rows.append(row)
+        return tuple(rows)
+
+    def word(self, rows: tuple, k: int) -> tuple:
+        """Inverse of `rows` for a word of k symbols."""
+        return from_matrix([_int_to_bits(r, k) for r in rows], 1 << self.nrows)
+
+    def label(self, rows: tuple, shift: int, k: int) -> int:
+        """Label of the k-symbol block whose last symbol sits `shift` bits
+        above the lowest bit of every row of a word."""
+        oracle = self.oracles[k]
+        mask = (1 << k) - 1
         lab = 0
         for row in rows:
-            lab = lab * oracle.label_space + oracle.labels[row]
+            lab = lab * oracle.label_space + oracle.labels[(row >> shift) & mask]
         return lab
+
+    def solve(self, zrows: tuple, zlen: int, k: int, slots, target: int) -> set:
+        """Every k-symbol block, as its rows, with label `target` that a
+        slot fill makes from the zlen-symbol word z given by `zrows`.  A slot
+        (a, l1, l2) puts l1 symbols of the alphabet in place of the l2
+        symbols of z from its a-th (1-based).
+
+        Solved row by row: target splits into one label digit per row, each
+        row keeps its l1-bit fills whose row label is its digit, and the
+        rows are joined column by column into fills of alphabet symbols."""
+        oracle = self.oracles[k]
+        space, labels = oracle.label_space, oracle.labels
+        if target >= space ** self.nrows:
+            return set()
+        digits = []
+        for _ in range(self.nrows):
+            target, digit = divmod(target, space)
+            digits.append(digit)
+        digits.reverse()
+        found = set()
+        for a, l1, l2 in slots:
+            low = zlen - a + 1 - l2  # bits of z after the replaced ones
+            step = 1 << low
+            fills = []
+            for z, digit in zip(zrows, digits):
+                base = ((z >> (low + l2)) << (l1 + low)) | (z & (step - 1))
+                row = [
+                    v for v in range(base, base + (step << l1), step)
+                    if labels[v] == digit
+                ]
+                if not row:
+                    break
+                fills.append(row)
+            else:
+                for block in product(*fills):
+                    if all(
+                        sum(((v >> j) & 1) << r for r, v in enumerate(block))
+                        in self.alphabet
+                        for j in range(low, low + l1)
+                    ):
+                        found.add(block)
+        return found
+
+
+class BlockLabeler(QaryBlockLabeler):
+    """Label lookup for binary blocks of the lengths appearing in a split:
+    the one-row labeler, whose fills are all bit strings."""
+
+    def __init__(self, oracles: dict):
+        super().__init__(2, oracles, (0, 1))
+
+    def rows(self, x: tuple) -> tuple:
+        check_binary(x)
+        return (_bits_to_int(x),)
+
+    def word(self, rows: tuple, k: int) -> tuple:
+        return _int_to_bits(rows[0], k)
+
+    def label(self, rows: tuple, shift: int, k: int) -> int:
+        return self.oracles[k].labels[(rows[0] >> shift) & ((1 << k) - 1)]
+
+    def solve(self, zrows: tuple, zlen: int, k: int, slots, target: int) -> set:
+        labels = self.oracles[k].labels
+        (z,) = zrows
+        found = set()
+        for a, l1, l2 in slots:
+            low = zlen - a + 1 - l2
+            step = 1 << low
+            base = ((z >> (low + l2)) << (l1 + low)) | (z & (step - 1))
+            found.update(
+                (v,) for v in range(base, base + (step << l1), step)
+                if labels[v] == target
+            )
+        return found
 
 
 # ---------------------------------------------------------------------------
 # block split and the window-bounded block code
 
 
+@lru_cache(maxsize=None)
 def block_layout(length: int, P: int) -> tuple:
     """Even and odd block spans (1-based, inclusive) over the padded length.
 
@@ -446,11 +573,14 @@ def block_layout(length: int, P: int) -> tuple:
     if length % (2 * P) != 0:
         raise ValueError("length must be padded to a multiple of 2P")
     s = length // (2 * P)
-    even = [Interval(2 * i * P + 1, 2 * (i + 1) * P) for i in range(s)]
-    odd = [Interval(1, P)]
-    for i in range(2, s + 1):
-        odd.append(Interval((2 * i - 3) * P + 1, (2 * i - 1) * P))
-    odd.append(Interval(length - P + 1, length))
+    even = tuple(Interval(2 * i * P + 1, 2 * (i + 1) * P) for i in range(s))
+    odd = (
+        (Interval(1, P),)
+        + tuple(
+            Interval((2 * i - 3) * P + 1, (2 * i - 1) * P) for i in range(2, s + 1)
+        )
+        + (Interval(length - P + 1, length),)
+    )
     return even, odd
 
 
@@ -463,38 +593,32 @@ def block_syndromes(x: tuple, P: int, labeler) -> tuple:
     """((d1, e1), (d2, e2)): sums of block labels and of their squares, taken
     mod the labeler modulus, over the even and the odd blocks."""
     L = padded_length(len(x), P)
-    xpad = x + (0,) * (L - len(x))
+    rows = labeler.rows(x + (0,) * (L - len(x)))
     even, odd = block_layout(L, P)
     M = labeler.modulus
     sums = []
     for spans in (even, odd):
-        labs = [labeler.label(xpad[sp.lo - 1 : sp.hi]) for sp in spans]
+        labs = [labeler.label(rows, L - sp.hi, len(sp)) for sp in spans]
         sums.append((sum(labs) % M, sum(l * l for l in labs) % M))
     return tuple(sums)
 
 
-def _edit_candidates(z, rel_lo, rel_hi, tprime, t, alphabet, block_len):
-    """Inverse substring edits: re-insert a replaced substring of length
-    l1 = l2 + tprime (l1 <= 2t) inside the window."""
+def _edit_candidates(zlen, rel_lo, rel_hi, tprime, t):
+    """Slots of the inverse substring edits: re-insert a replaced substring
+    of length l1 = l2 + tprime (l1 <= 2t) inside the window."""
     for a in range(rel_lo, rel_hi + 1):
         for l1 in range(tprime, 2 * t + 1):
             l2 = l1 - tprime
-            if a + l1 - 1 > rel_hi or a - 1 + l2 > len(z):
+            if a + l1 - 1 > rel_hi or a - 1 + l2 > zlen:
                 continue
-            for m in product(alphabet, repeat=l1):
-                cand = z[: a - 1] + m + z[a - 1 + l2 :]
-                if len(cand) == block_len:
-                    yield cand
+            yield a, l1, l2
 
 
-def _burst_candidates(z, rel_lo, rel_hi, tprime, alphabet, block_len):
-    """Inverse bursts: re-insert tprime consecutive symbols with the burst
-    kept inside the window."""
-    for a in range(rel_lo, min(rel_hi - tprime + 1, len(z) + 1) + 1):
-        for m in product(alphabet, repeat=tprime):
-            cand = z[: a - 1] + m + z[a - 1 :]
-            if len(cand) == block_len:
-                yield cand
+def _burst_candidates(zlen, rel_lo, rel_hi, tprime):
+    """Slots of the inverse bursts: re-insert tprime consecutive symbols
+    with the burst kept inside the window."""
+    for a in range(rel_lo, min(rel_hi - tprime + 1, zlen + 1) + 1):
+        yield a, tprime, 0
 
 
 def cpb_decode(
@@ -517,7 +641,8 @@ def cpb_decode(
     if len(window) > P:
         raise NotDecodableError("window exceeds the block cover length")
     L = padded_length(n, P)
-    xpad = xp + (0,) * (L - tprime - len(xp))
+    xpad = xp + (0,) * (L - n)
+    rows = labeler.rows(xpad)
     even, odd = block_layout(L, P)
     for parity, spans in ((0, even), (1, odd)):
         hit = [j for j, sp in enumerate(spans) if sp.contains(window)]
@@ -528,36 +653,31 @@ def cpb_decode(
         raise NotDecodableError("window not covered by any block")
     d_sum, e_sum = sums[parity]
     M = labeler.modulus
-    intact_labels = []
-    for j, sp in enumerate(spans):
-        if j == damaged:
-            continue
-        if sp.hi <= spans[damaged].lo:
-            seg = xpad[sp.lo - 1 : sp.hi]
-        else:
-            seg = xpad[sp.lo - 1 - tprime : sp.hi - tprime]
-        intact_labels.append(labeler.label(seg))
+    sp = spans[damaged]
+    # xpad is tprime short, so a block ends L - hi bits above the end of
+    # xpad once the burst lies before it, tprime bits fewer otherwise
+    intact_labels = [
+        labeler.label(rows, L - b.hi - (tprime if b.hi <= sp.lo else 0), len(b))
+        for j, b in enumerate(spans)
+        if j != damaged
+    ]
     missing = (d_sum - sum(intact_labels)) % M
     if (e_sum - sum(l * l for l in intact_labels)) % M != (missing * missing) % M:
         raise NotDecodableError("block syndromes inconsistent")
-    sp = spans[damaged]
-    block_len = sp.hi - sp.lo + 1
-    z = xpad[sp.lo - 1 : sp.hi - tprime]
+    block_len = len(sp)
+    zlen = block_len - tprime
+    zrows = tuple((r >> (L - sp.hi)) & ((1 << zlen) - 1) for r in rows)
     rel_lo = max(1, window.lo - sp.lo + 1)
     rel_hi = min(block_len, window.hi - sp.lo + 1)
     oracle = labeler.oracles[block_len]
     if oracle.model == "burst":
-        gen = _burst_candidates(
-            z, rel_lo, rel_hi, tprime, labeler.alphabet, block_len
-        )
+        slots = _burst_candidates(zlen, rel_lo, rel_hi, tprime)
     else:
-        gen = _edit_candidates(
-            z, rel_lo, rel_hi, tprime, oracle.t, labeler.alphabet, block_len
-        )
-    found = {cand for cand in gen if labeler.label(cand) == missing}
+        slots = _edit_candidates(zlen, rel_lo, rel_hi, tprime, oracle.t)
+    found = labeler.solve(zrows, zlen, block_len, slots, missing)
     if len(found) != 1:
         raise NotDecodableError("no unique block consistent with the sums")
-    block = found.pop()
+    block = labeler.word(found.pop(), block_len)
     xrec = xpad[: sp.lo - 1] + block + xpad[sp.hi - tprime :]
     x = xrec[:n]
     if block_syndromes(x, P, labeler) != sums:

@@ -43,7 +43,15 @@ from burstcodes.seqcore import (
     psi,
     vt_syndrome,
 )
-from burstcodes.tburst import BlockLabeler, CtbParams, ctb_member, ctb_oracles
+from burstcodes.tburst import (
+    BlockLabeler,
+    CtbParams,
+    DensityParams,
+    ctb_member,
+    ctb_oracles,
+    dense_decode,
+    dense_encode,
+)
 from burstcodes.verify import sieve, book_decoder, roundtrip_sweep
 
 
@@ -206,8 +214,7 @@ CONTRACT_BOOKS = {
     "c2b-q6": ("c2b", 10, {"q": 6, "max_words": 4000}, 3000),
     "ctb-q4": ("ctb", 12, {"q": 4, "t": 2, "delta": 6, "P": 8}, 2000),
     "ctb-q6": ("ctb", 12, {"q": 6, "t": 1, "delta": 4, "P": 4}, 4000),
-    # a perm decode labels thousands of edit candidates: about 20 ms
-    "perm": ("perm", 8, {"t": 2, "delta": 8, "P": 6}, 150),
+    "perm": ("perm", 8, {"t": 2, "delta": 8, "P": 6}, 1000),
 }
 
 
@@ -295,6 +302,21 @@ def _contract_case(rng, family, n):
             and induced_residues(u, n, q) == (a, b, c)
             and rx in [res for _, res in induced_deletions(u)]
         )
+    if family == "dense":
+        # a uniform word, or the encoding of a word of long runs (whose
+        # pattern-free windows become trailer records) with one bit flipped
+        dp = DensityParams(n, 1, 64)
+        if rng.random() < 0.5:
+            y = _bits(rng, n + 4)
+        else:
+            x, bit = [], rng.randint(0, 1)
+            while len(x) < n:
+                x.extend([bit] * rng.randint(1, rng.choice((8, 64))))
+                bit ^= 1
+            y = list(dense_encode(tuple(x[:n]), dp))
+            y[rng.randrange(len(y))] ^= 1
+            y = tuple(y)
+        return (lambda: dense_decode(y, dp)), lambda x: dense_encode(x, dp) == y
     c, d, m = rng.randrange(2 * P), rng.randrange(3), rng.randint(1, n)
     rx = _bits(rng, n - rng.randint(1, 2))
     params = PBoundedParams(n, P, c, d)
@@ -308,7 +330,7 @@ CONTRACT_CASES = [
     (family, n)
     for family in ("vt", "tenengolts", "levenshtein", "induced", "pbounded")
     for n in (8, 12)
-] + [(label, CONTRACT_BOOKS[label][1]) for label in CONTRACT_BOOKS]
+] + [(label, CONTRACT_BOOKS[label][1]) for label in CONTRACT_BOOKS] + [("dense", 128)]
 
 
 @pytest.mark.parametrize(

@@ -3,20 +3,30 @@ compression, dense encoding, syndrome oracles, and the block-parity code."""
 import hashlib
 import itertools
 import random
+from dataclasses import astuple
 
 import pytest
 
+from burstcodes.perm import PermCodeParams, bp_map, overlap_ranks, perm_labeler, pleqt_decode
 from burstcodes.seqcore import (
     Burst,
     Interval,
     NotDecodableError,
+    _bits_to_int,
     apply_burst,
     bursts,
+    deletion_ball,
+    from_matrix,
+    matrix_rows,
+    to_matrix,
 )
 from burstcodes.tburst import (
     BlockLabeler,
     CtbParams,
     DensityParams,
+    QaryBlockLabeler,
+    _burst_candidates,
+    _edit_candidates,
     block_layout,
     block_syndromes,
     compress_g,
@@ -31,6 +41,7 @@ from burstcodes.tburst import (
     dense_encode,
     indicator_alpha,
     is_dense,
+    loc_residues,
     locate_burst,
     oracle_build_brute,
     oracle_load,
@@ -258,44 +269,60 @@ ORACLE_DIGESTS = [
 ]
 
 
+def _edit_ball(u: tuple, t: int) -> set:
+    """Every string made from u by replacing a substring of length <= 2t by
+    a string of length <= 2t (identity included)."""
+    fills = [m for l2 in range(2 * t + 1) for m in itertools.product((0, 1), repeat=l2)]
+    return {
+        u[:s] + m + u[s + l1 :]
+        for l1 in range(2 * t + 1)
+        for s in range(len(u) - l1 + 1)
+        for m in fills
+    }
+
+
+def _assert_confusable_distinct(oracle, ball) -> None:
+    """Blocks whose balls meet have distinct labels; labels[i] belongs to the
+    i-th block in product order."""
+    blocks = list(itertools.product((0, 1), repeat=oracle.k))
+    balls = [ball(u) for u in blocks]
+    for i, j in itertools.combinations(range(len(blocks)), 2):
+        if balls[i] & balls[j]:
+            assert oracle.labels[i] != oracle.labels[j]
+
+
 class TestOracles:
     @pytest.mark.parametrize(
         "model, k, t, space, digest", ORACLE_DIGESTS,
         ids=[f"{m}-k{k}-t{t}" for m, k, t, _, _ in ORACLE_DIGESTS],
     )
     def test_label_table_matches_recorded_digest(self, model, k, t, space, digest):
+        # labels[v] belongs to the block spelled by v's bits, first bit most
+        # significant: range order is product order
         oracle = oracle_build_brute(k, t, model)
         assert oracle.label_space == space
-        table = [oracle.labels[v] for v in itertools.product((0, 1), repeat=k)]
+        table = [oracle.labels[v] for v in range(1 << k)]
         assert _digest(table) == digest
 
     def test_confusable_blocks_distinct_labels(self):
-        from burstcodes.tburst import _descendants
-
+        # balls of tuples, apart from the oracle's own int descendants
         oracle = oracle_build_brute(6, 2, "burst")
-        blocks = list(itertools.product((0, 1), repeat=6))
-        for u in blocks:
-            du = _descendants(u, 2, "burst")
-            for v in blocks:
-                if u < v and du & _descendants(v, 2, "burst"):
-                    assert oracle.labels[u] != oracle.labels[v]
+        _assert_confusable_distinct(oracle, lambda u: deletion_ball(u, 2, upto=True))
 
     def test_edit_model_confusability(self):
-        from burstcodes.tburst import _descendants
-
         oracle = oracle_build_brute(5, 1, "edit")
-        blocks = list(itertools.product((0, 1), repeat=5))
-        for u in blocks:
-            du = _descendants(u, 1, "edit")
-            for v in blocks:
-                if u < v and du & _descendants(v, 1, "edit"):
-                    assert oracle.labels[u] != oracle.labels[v]
+        _assert_confusable_distinct(oracle, lambda u: _edit_ball(u, 1))
 
     def test_save_load_roundtrip(self, tmp_path):
         oracle = oracle_build_brute(6, 2, "burst")
-        path = str(tmp_path / "oracle.bin")
-        oracle_save(oracle, path)
-        loaded = oracle_load(path)
+        path = tmp_path / "oracle.bin"
+        oracle_save(oracle, str(path))
+        # BCOR1 header, then the table as little-endian uint32; the digest
+        # was recorded from the tuple-keyed save
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "f1ccb585084a609717a38b2ca0fd77cf8c1ab9ec50dd950cde36b23074e97f1a"
+        )
+        loaded = oracle_load(str(path))
         assert loaded.k == oracle.k
         assert loaded.t == oracle.t
         assert loaded.model == oracle.model
@@ -375,6 +402,151 @@ class TestBlockDecode:
         sums = block_syndromes(x, P, labeler)
         with pytest.raises(NotDecodableError):
             cpb_decode(x[:-1], n, Interval(1, 6), sums, labeler, P)
+
+
+def _qary_filter(labeler, z: tuple, k: int, slots: list, target: int) -> set:
+    """The candidate filter the row-wise solve replaced: every fill of every
+    slot, labelled through to_matrix; matches as their rows."""
+    oracle = labeler.oracles[k]
+    found = set()
+    for a, l1, l2 in slots:
+        for m in itertools.product(labeler.alphabet, repeat=l1):
+            rows = to_matrix(z[: a - 1] + m + z[a - 1 + l2 :], 1 << labeler.nrows)
+            lab = 0
+            for row in rows:
+                lab = lab * oracle.label_space + oracle.labels[_bits_to_int(row)]
+            if lab == target:
+                found.add(tuple(_bits_to_int(row) for row in rows))
+    return found
+
+
+def _edit_labeler():
+    return perm_labeler(PermCodeParams(8, 2, 8, 6, 0, 0, ((0, 0), (0, 0))))
+
+
+def _ctb_codeword(rng, labeler, n, q, t, delta, P):
+    """A q-ary word with a dense row 1 and the CtbParams of its residues."""
+    dp = DensityParams(n, t, delta)
+    row1 = tuple(rng.randint(0, 1) for _ in range(n))
+    while not is_dense(row1, dp):
+        row1 = tuple(rng.randint(0, 1) for _ in range(n))
+    rows = (row1,) + tuple(
+        tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(matrix_rows(q) - 1)
+    )
+    c0, c1 = loc_residues(row1, dp)
+    row_sums = tuple(block_syndromes(r, P, labeler) for r in rows)
+    return from_matrix(rows, q), CtbParams(n, q, t, delta, P, c0, c1, row_sums)
+
+
+def _drawn_sums(rng, M: int) -> tuple:
+    return tuple((rng.randrange(M), rng.randrange(M)) for _ in range(2))
+
+
+def _decode_outcomes() -> list:
+    """Seeded ctb_decode and pleqt_decode calls: each codeword less a burst,
+    and arbitrary inputs (a redrawn symbol, shuffled entries, drawn block
+    sums that leave cpb_decode a target no fill meets), plus cpb_decode
+    calls on bursts longer than t.  The outcome is the decoded word or the
+    refusal message."""
+    def outcome(decode):
+        try:
+            return decode()
+        except NotDecodableError as exc:
+            return str(exc)
+
+    rng = random.Random(2022)
+    out = []
+    labeler = BlockLabeler({k: oracle_build_brute(k, 2, "burst") for k in (8, 16)})
+    for _ in range(100):
+        u, params = _ctb_codeword(rng, labeler, 16, 4, 2, 6, 8)
+        d = rng.randint(1, 2)
+        rx = apply_burst(u, Burst(rng.randint(1, 17 - d), d))
+        redrawn = list(rx)
+        redrawn[rng.randrange(len(rx))] = rng.randrange(4)
+        drawn = CtbParams(*astuple(params)[:-1], tuple(
+            _drawn_sums(rng, labeler.modulus) for _ in params.row_sums
+        ))
+        for word, par in ((rx, params), (tuple(redrawn), params), (rx, drawn)):
+            out.append(outcome(lambda: ctb_decode(word, par, labeler)))
+        # a burst longer than the oracles' t, whose fills can meet the
+        # target several times
+        row = to_matrix(u, 4)[1]
+        s0 = rng.randint(1, 14)
+        out.append(outcome(lambda: cpb_decode(
+            apply_burst(row, Burst(s0, 3)), 16, Interval(s0, s0 + 2),
+            params.row_sums[1], labeler, 8,
+        )))
+    labeler = _edit_labeler()
+    for _ in range(50):
+        pi = tuple(rng.sample(range(1, 9), 8))
+        dp = DensityParams(8, 2, 8)
+        params = PermCodeParams(
+            8, 2, 8, 6, *loc_residues(bp_map(pi), dp),
+            block_syndromes(overlap_ranks(pi, 2), 6, labeler),
+        )
+        d = rng.randint(1, 2)
+        rx = apply_burst(pi, Burst(rng.randint(1, 9 - d), d))
+        shuffled = tuple(rng.sample(rx, len(rx)))
+        drawn = PermCodeParams(
+            *astuple(params)[:-1], _drawn_sums(rng, labeler.modulus)
+        )
+        for word, par in ((rx, params), (shuffled, params), (rx, drawn)):
+            out.append(outcome(lambda: pleqt_decode(word, par, labeler)))
+    return out
+
+
+class TestBlockSolve:
+    @pytest.mark.parametrize("kind", ["binary", "qary", "edit"])
+    def test_solve_matches_qary_filter(self, kind):
+        # the row-wise solve finds exactly the blocks the q-ary filter did.
+        # Fills within the oracle's error model make blocks confusable with
+        # each other, which the oracle labels apart; several fills meet a
+        # target only for a burst longer than the oracle's t.  The q-ary
+        # burst labeler leaves symbol 0 out of its alphabet
+        if kind == "binary":
+            labeler = BlockLabeler({k: oracle_build_brute(k, 2, "burst") for k in (8, 16)})
+        elif kind == "qary":
+            labeler = QaryBlockLabeler(
+                4, {k: oracle_build_brute(k, 1, "burst") for k in (4, 8)}, (1, 2, 3)
+            )
+        else:
+            labeler = _edit_labeler()
+        rng = random.Random(kind)
+        sizes = [0, 0, 0]
+        for _ in range(400):
+            k = rng.choice(sorted(labeler.oracles))
+            oracle = labeler.oracles[k]
+            tprime = rng.randint(1, oracle.t + (oracle.model == "burst"))
+            zlen = k - tprime
+            z = tuple(rng.choice(labeler.alphabet) for _ in range(zlen))
+            rel_lo = rng.randint(1, k)
+            rel_hi = rng.randint(rel_lo, min(k, rel_lo + 5))
+            if oracle.model == "burst":
+                slots = list(_burst_candidates(zlen, rel_lo, rel_hi, tprime))
+            else:
+                slots = list(_edit_candidates(zlen, rel_lo, rel_hi, tprime, oracle.t))
+            # half of the targets are the label of a real fill
+            target = rng.randrange(labeler.modulus)
+            if slots and rng.random() < 0.5:
+                a, l1, l2 = rng.choice(slots)
+                m = tuple(rng.choice(labeler.alphabet) for _ in range(l1))
+                block = z[: a - 1] + m + z[a - 1 + l2 :]
+                target = labeler.label(labeler.rows(block), 0, k)
+            want = _qary_filter(labeler, z, k, slots, target)
+            assert labeler.solve(labeler.rows(z), zlen, k, slots, target) == want
+            sizes[min(len(want), 2)] += 1
+        assert sizes[0] and sizes[1], sizes
+        assert sizes[2] or kind == "edit", sizes
+
+    def test_decode_outcomes_match_recorded_digest(self):
+        # the digest was recorded from the q-ary candidate filter
+        out = _decode_outcomes()
+        assert len(out) == 550
+        assert sum(isinstance(o, tuple) for o in out) > 100
+        assert "no unique block consistent with the sums" in out
+        assert _digest(out) == (
+            "620e38098f4deada65465086d889427890564dedc5dfff35d6c5b51393dda671"
+        )
 
 
 @pytest.fixture(scope="module")
