@@ -7,7 +7,13 @@ from dataclasses import astuple
 
 import pytest
 
-from burstcodes.perm import PermCodeParams, bp_map, overlap_ranks, perm_labeler, pleqt_decode
+from burstcodes.perm import (
+    PermCodeParams,
+    bp_map,
+    overlap_ranks,
+    perm_labeler,
+    pleqt_decode,
+)
 from burstcodes.seqcore import (
     Burst,
     Interval,
