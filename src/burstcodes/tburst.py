@@ -529,13 +529,21 @@ class QaryBlockLabeler:
 
 class BlockLabeler(QaryBlockLabeler):
     """Label lookup for binary blocks of the lengths appearing in a split:
-    the one-row labeler, whose fills are all bit strings."""
+    the one-row labeler, whose fills are all bit strings.
+
+    `rows` and `label` are the one-row case written out: they run for every
+    block of every decode, where the general loops over rows made a ctb
+    decode about 5% slower."""
 
     def __init__(self, oracles: dict):
         super().__init__(2, oracles, (0, 1))
 
-    # bound here as well, so the bench's tracer times each class's labels
-    label = QaryBlockLabeler.label
+    def rows(self, x: tuple) -> tuple:
+        check_binary(x)
+        return (_bits_to_int(x),)
+
+    def label(self, rows: tuple, shift: int, k: int) -> int:
+        return self.oracles[k].labels[(rows[0] >> shift) & ((1 << k) - 1)]
 
 
 # ---------------------------------------------------------------------------
