@@ -8,7 +8,6 @@ confusable under the declared error model receive distinct labels.
 """
 from __future__ import annotations
 
-import struct
 from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
@@ -256,54 +255,36 @@ def dense_encode(x: tuple, dp: DensityParams) -> tuple:
 
 def dense_decode(y: tuple, dp: DensityParams) -> tuple:
     """Invert dense_encode: walk trailer records keyed on the last bit
-    (0 = record, 1 = the initialization marker w w), with backtracking over
-    the record's pad amount.  A walk ends in the word whose encoding is y;
-    any other y is refused."""
+    (0 = record, 1 = the initialization marker w w).  The record tails are
+    suffix-free, so at most one pad amount fits each record.  A walk ends in
+    the word whose encoding is y; any other y is refused."""
     check_binary(y)
     _check_capacity(dp)
     n, t, delta = dp.n, dp.t, dp.delta
     if len(y) != n + 4 * t:
         raise ValueError("dense_decode expects length n+4t")
     clog = ceil_log2(n)
-    out_len = dp.out_len
-
-    def rec_walk(cur: tuple, depth: int) -> Optional[tuple]:
-        if depth > n:
-            return None
+    # a record is delta - e bits long; one longer than the word is not in it
+    tails = [(e, _record_tail(e, dp)) for e in range(2 * t) if delta - e <= len(y)]
+    cur = y
+    for _ in range(n + 1):
         if cur[-1] == 1:
-            if len(cur) == n + 4 * t and cur[n:] == dp.w + dp.w:
-                # a walk can undo records the encoder would not have made
-                if dense_encode(cur[:n], dp) == y:
-                    return cur[:n]
-            return None
-        for e in range(0, 2 * t):
-            rec_len = delta - e
-            if len(cur) < rec_len + 4 * t:
-                continue
-            rec = cur[-rec_len:]
-            tail = _record_tail(e, dp)
-            if rec[-len(tail) :] != tail:
-                continue
-            i = _bits_to_int(rec[:clog])
-            if i < 1:
-                continue
-            try:
-                s_full = decompress_g(rec[clog : clog + out_len], dp)
-            except NotDecodableError:
-                continue
-            if e and any(s_full[delta - e :]):
-                continue
-            rest = cur[:-rec_len]
-            if i - 1 > len(rest) - 4 * t:
-                continue
-            cand = rest[: i - 1] + s_full[: delta - e] + rest[i - 1 :]
-            got = rec_walk(cand, depth + 1)
-            if got is not None:
-                return got
-        return None
-
-    x = rec_walk(y, 0)
-    if x is None:
+            break
+        e = next((e for e, tail in tails if cur[-len(tail) :] == tail), None)
+        if e is None:
+            break
+        rec_len = delta - e
+        rec = cur[-rec_len:]
+        rest = cur[:-rec_len]
+        i = _bits_to_int(rec[:clog])
+        try:
+            s = decompress_g(rec[clog : clog + dp.out_len], dp)
+        except NotDecodableError:
+            break
+        cur = rest[: i - 1] + s[: delta - e] + rest[i - 1 :]
+    # a walk can undo records the encoder would not have made
+    x = cur[:n]
+    if dense_encode(x, dp) != y:
         raise NotDecodableError("malformed trailer")
     return x
 
@@ -397,40 +378,6 @@ def oracle_build_brute(k: int, t: int, model: str) -> SyndromeOracle:
     return SyndromeOracle(
         k=k, t=t, model=model, labels=labels, label_space=max(labels) + 1
     )
-
-
-_ORACLE_MAGIC = b"BCOR1"
-_MODEL_TAGS = {"burst": 0, "edit": 1}
-
-
-def oracle_save(oracle: SyndromeOracle, path: str) -> None:
-    """Serialize a binary-block oracle: versioned header + the label table
-    as little-endian uint32 in block-value order."""
-    with open(path, "wb") as fh:
-        fh.write(_ORACLE_MAGIC)
-        fh.write(
-            struct.pack(
-                "<BBBI",
-                oracle.k,
-                oracle.t,
-                _MODEL_TAGS[oracle.model],
-                oracle.label_space,
-            )
-        )
-        fh.write(struct.pack(f"<{len(oracle.labels)}I", *oracle.labels))
-
-
-def oracle_load(path: str) -> SyndromeOracle:
-    with open(path, "rb") as fh:
-        if fh.read(5) != _ORACLE_MAGIC:
-            raise ValueError("not an oracle file")
-        k, t, tag, space = struct.unpack("<BBBI", fh.read(7))
-        model = {v: k_ for k_, v in _MODEL_TAGS.items()}[tag]
-        data = fh.read(4 << k)
-    if len(data) != 4 << k:
-        raise ValueError("truncated oracle file")
-    labels = array("I", struct.unpack(f"<{1 << k}I", data))
-    return SyndromeOracle(k=k, t=t, model=model, labels=labels, label_space=space)
 
 
 class QaryBlockLabeler:

@@ -79,7 +79,11 @@ class Codebook:
         raw = json.loads(text)
         if raw.get("schema_version") != SCHEMA_VERSION:
             raise ValueError("unsupported codebook schema version")
-        sp = raw["spec"]
+        sp = raw.get("spec", {})
+        missing = [f"spec.{k}" for k in ("family", "n", "q", "t") if k not in sp]
+        missing += [k for k in ("words", "redundancy_bits") if k not in raw]
+        if missing:
+            raise ValueError(f"codebook lacks {', '.join(missing)}")
         params = _params_from_json(sp.get("params", {}))
         spec = CodeSpec(sp["family"], sp["n"], sp["q"], sp["t"], params)
         return Codebook(
@@ -477,7 +481,14 @@ def book_decoder(book: Codebook) -> Callable[[tuple, tuple, Burst], tuple]:
     fam = get_family(book.spec.family)
     if fam.decoder is None:
         raise ValueError(f"no decoder for family {fam.name!r}")
-    return fam.decoder(book.spec)
+    # a factory takes its params by name: a missing one is a KeyError, a
+    # missing or unknown field of a params class a TypeError
+    try:
+        return fam.decoder(book.spec)
+    except KeyError as exc:
+        raise ValueError(f"{fam.name} book params lack {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"{fam.name} book params do not fit: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -305,13 +305,14 @@ def _contract_case(rng, family, n):
     if family == "dense":
         # a uniform word, or the encoding of a word of long runs (whose
         # pattern-free windows become trailer records) with one bit flipped
-        dp = DensityParams(n, 1, 64)
+        t, delta, _ = CONTRACT_DENSE[n]
+        dp = DensityParams(n, t, delta)
         if rng.random() < 0.5:
-            y = _bits(rng, n + 4)
+            y = _bits(rng, n + 4 * t)
         else:
             x, bit = [], rng.randint(0, 1)
             while len(x) < n:
-                x.extend([bit] * rng.randint(1, rng.choice((8, 64))))
+                x.extend([bit] * rng.randint(1, rng.choice((8, delta))))
                 bit ^= 1
             y = list(dense_encode(tuple(x[:n]), dp))
             y[rng.randrange(len(y))] ^= 1
@@ -326,11 +327,16 @@ def _contract_case(rng, family, n):
     )
 
 
+# dense-encoding cases of the contract test: n -> (t, delta, inputs)
+CONTRACT_DENSE = {128: (1, 64, 5000), 1024: (2, 864, 1000)}
+
 CONTRACT_CASES = [
     (family, n)
     for family in ("vt", "tenengolts", "levenshtein", "induced", "pbounded")
     for n in (8, 12)
-] + [(label, CONTRACT_BOOKS[label][1]) for label in CONTRACT_BOOKS] + [("dense", 128)]
+] + [(label, CONTRACT_BOOKS[label][1]) for label in CONTRACT_BOOKS] + [
+    ("dense", n) for n in CONTRACT_DENSE
+]
 
 
 @pytest.mark.parametrize(
@@ -341,7 +347,12 @@ def test_decoder_contract_on_arbitrary_input(family, n):
     # contains the input, never a wrong answer; both outcomes must occur
     rng = random.Random(f"{family}/{n}")
     outcomes = {"refused": 0, "decoded": 0}
-    inputs = CONTRACT_BOOKS[family][3] if family in CONTRACT_BOOKS else 5000
+    if family in CONTRACT_BOOKS:
+        inputs = CONTRACT_BOOKS[family][3]
+    elif family == "dense":
+        inputs = CONTRACT_DENSE[n][2]
+    else:
+        inputs = 5000
     for _ in range(inputs):
         decode, holds = _contract_case(rng, family, n)
         try:

@@ -1,5 +1,6 @@
 """Tests for the command-line surface, driven through cli.main return codes."""
 import csv
+import json
 import random
 
 import pytest
@@ -187,6 +188,47 @@ class TestSieveVerifyDecode:
         code, out, _ = run(capsys, "verify", "--book", str(path), "--t", "1")
         assert code == FAILURE
         assert "witness" in out
+
+
+def _book_json(family, n, q, params, words, drop_n=False) -> str:
+    from burstcodes.verify import Codebook, CodeSpec
+
+    raw = json.loads(
+        Codebook(CodeSpec(family, n, q, 1, params), words, 0.0).to_json()
+    )
+    if drop_n:
+        del raw["spec"]["n"]
+    return json.dumps(raw)
+
+
+# book files that do not fit their family: (file text, received word, the
+# field the error names)
+MALFORMED_BOOKS = {
+    "no-spec-n": (
+        _book_json("vt", 4, 2, {"a": 0}, [(0,) * 4], drop_n=True), "000",
+        "spec.n",
+    ),
+    "vt-no-a": (_book_json("vt", 4, 2, {}, [(0,) * 4]), "000", "'a'"),
+    "ctb-no-params": (
+        _book_json("ctb", 8, 4, {}, [(0,) * 8]), "0,0,0,0,0,0,0", "delta",
+    ),
+}
+
+
+class TestMalformedBook:
+    @pytest.mark.parametrize("label", MALFORMED_BOOKS)
+    @pytest.mark.parametrize("command", ["verify", "decode"])
+    def test_is_usage_error(self, tmp_path, capsys, label, command):
+        text, received, field = MALFORMED_BOOKS[label]
+        path = tmp_path / "book.json"
+        path.write_text(text)
+        if command == "verify":
+            argv = ["verify", "--book", str(path), "--t", "1", "--sweep"]
+        else:
+            argv = ["decode", "--book", str(path), "--received", received]
+        code, _, err = run(capsys, *argv)
+        assert code == USAGE_ERROR
+        assert field in err
 
 
 class TestBounds:

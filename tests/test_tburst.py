@@ -33,6 +33,7 @@ from burstcodes.tburst import (
     QaryBlockLabeler,
     _burst_candidates,
     _edit_candidates,
+    _record_tail,
     block_layout,
     block_syndromes,
     compress_g,
@@ -50,8 +51,6 @@ from burstcodes.tburst import (
     loc_residues,
     locate_burst,
     oracle_build_brute,
-    oracle_load,
-    oracle_save,
     padded_length,
 )
 from burstcodes import verify
@@ -250,6 +249,41 @@ class TestDenseEncoding:
             "2e6f481e33ab30571c2e9c12f934ade28399a4467d7a8a917c10b09cb4778036"
         )
 
+    @pytest.mark.parametrize("t", range(1, 9))
+    def test_record_tails_are_suffix_free(self, t):
+        # no tail ends another, so at most one pad amount fits a record
+        dp = DensityParams(16, t, 2 * t)
+        tails = [_record_tail(e, dp) for e in range(2 * t)]
+        for a, b in itertools.permutations(tails, 2):
+            assert a[-len(b) :] != b
+
+    def test_decode_outcomes_match_recorded_digest(self):
+        # uniform words, encodings of long-run words and those encodings
+        # with one bit flipped; at n = 16 every record is longer than the
+        # word; the digest was recorded from the walk that backtracked over
+        # each record's pad amount
+        outs = []
+        for n, t, delta in ((16, 1, 64), (128, 1, 64), (1024, 2, 864)):
+            dp = DensityParams(n, t, delta)
+            rng = random.Random(f"dense/{n}/{t}/{delta}")
+            for _ in range(200):
+                u = tuple(rng.randint(0, 1) for _ in range(n + 4 * t))
+                longest = rng.choice((8, delta, n))
+                x, bit = [], rng.randint(0, 1)
+                while len(x) < n:
+                    x.extend([bit] * rng.randint(1, longest))
+                    bit ^= 1
+                y = dense_encode(tuple(x[:n]), dp)
+                i = rng.randrange(len(y))
+                for z in (u, y, y[:i] + (1 - y[i],) + y[i + 1 :]):
+                    try:
+                        outs.append(dense_decode(z, dp))
+                    except NotDecodableError as exc:
+                        outs.append(str(exc))
+        assert _digest(outs) == (
+            "3ae54fe0e963925feb175a734f72aa8df7511107f40d1dc63ea883c49e68e379"
+        )
+
 
 # (model, k, t, label_space, SHA-256 of the label table in product order),
 # recorded from the set-based greedy colouring
@@ -318,22 +352,6 @@ class TestOracles:
     def test_edit_model_confusability(self):
         oracle = oracle_build_brute(5, 1, "edit")
         _assert_confusable_distinct(oracle, lambda u: _edit_ball(u, 1))
-
-    def test_save_load_roundtrip(self, tmp_path):
-        oracle = oracle_build_brute(6, 2, "burst")
-        path = tmp_path / "oracle.bin"
-        oracle_save(oracle, str(path))
-        # BCOR1 header, then the table as little-endian uint32; the digest
-        # was recorded from the tuple-keyed save
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "f1ccb585084a609717a38b2ca0fd77cf8c1ab9ec50dd950cde36b23074e97f1a"
-        )
-        loaded = oracle_load(str(path))
-        assert loaded.k == oracle.k
-        assert loaded.t == oracle.t
-        assert loaded.model == oracle.model
-        assert loaded.label_space == oracle.label_space
-        assert loaded.labels == oracle.labels
 
     def test_size_cap(self):
         with pytest.raises(ValueError):
