@@ -48,9 +48,7 @@ def cmd_encode(args) -> int:
         y = pll2burst.pll_encode(x)
     else:
         dp = tburst.DensityParams(
-            len(x),
-            args.t,
-            args.delta or tburst.default_delta(len(x), args.t),
+            len(x), args.t, args.delta or tburst.capacity_delta(len(x), args.t)
         )
         y = tburst.dense_encode(x, dp)
     _write_sequence(args.out, y)

@@ -54,12 +54,22 @@ def lex_rank(pi: tuple) -> int:
     """1-based lexicographic rank of a permutation of [k] (factorial number
     system)."""
     check_permutation(pi)
-    k = len(pi)
-    rank = 0
-    for i, v in enumerate(pi):
-        smaller = sum(1 for x in pi[i + 1 :] if x < v)
-        rank += smaller * factorial(k - 1 - i)
+    return _rank(pi)
+
+
+def _rank(u: tuple) -> int:
+    """lex_rank(prj(u)) for distinct values: the Lehmer code of u (each
+    entry's place among the entries not yet read), in the factorial base."""
+    rank, rest = 0, sorted(u)
+    for v in u:
+        i = rest.index(v)
+        rank = rank * len(rest) + i
+        del rest[i]
     return rank + 1
+
+
+def _ranks(pi: tuple, t: int) -> tuple:
+    return tuple(_rank(pi[i : i + t + 1]) for i in range(len(pi) - t))
 
 
 def lex_unrank(rank: int, k: int) -> tuple:
@@ -80,25 +90,50 @@ def overlap_ranks(pi: tuple, t: int) -> tuple:
     n = len(pi)
     if n <= t:
         raise ValueError("need n > t")
-    return tuple(
-        lex_rank(prj(pi[i : i + t + 1])) for i in range(n - t)
-    )
+    if len(set(pi)) != n:
+        raise ValueError("overlap_ranks requires distinct entries")
+    return _ranks(pi, t)
 
 
 def reconstruct(pip: tuple, missing: tuple, p: tuple, t: int) -> tuple:
     """The unique permutation obtained by reinserting the missing symbols
-    consecutively into pip whose ranking sequence equals p."""
+    consecutively into pip whose ranking sequence equals p.
+
+    A reinsertion at pos keeps the ranks of pip's windows before it and
+    shifts those after it by len(missing), so only positions where p agrees
+    with pip's ranks on both sides are tried, and there only the windows
+    holding an inserted symbol are ranked."""
     tprime = len(missing)
     if tprime == 0:
         if overlap_ranks(pip, t) != p:
             raise NotDecodableError("ranking sequence mismatch")
         return pip
+    n = len(pip) + tprime
+    if n <= t:
+        raise ValueError("need n > t")
+    if len(set(pip) | set(missing)) != n:
+        raise ValueError("reconstruct requires distinct entries")
     found = set()
-    for pos in range(1, len(pip) + 2):
-        for order in permutations(sorted(missing)):
-            cand = pip[: pos - 1] + tuple(order) + pip[pos - 1 :]
-            if overlap_ranks(cand, t) == p:
-                found.add(cand)
+    if len(p) == n - t:
+        r = _ranks(pip, t)
+        # p agrees with r on its first `head` windows and, shifted by
+        # tprime, on its last `tail`
+        head = next((i for i, v in enumerate(r) if p[i] != v), len(r))
+        tail = next(
+            (i for i in range(len(r)) if p[-1 - i] != r[-1 - i]), len(r)
+        )
+        for pos in range(
+            max(1, len(pip) - t + 1 - tail), min(len(pip) + 1, head + t + 1) + 1
+        ):
+            # seg is the inserted symbols with up to t of pip either side: its
+            # windows, from i0 (0-based) on, are those holding one of them
+            i0 = max(0, pos - 1 - t)
+            left, right = pip[i0 : pos - 1], pip[pos - 1 : pos + t - 1]
+            want = p[i0 : i0 + len(left) + tprime + len(right) - t]
+            for order in permutations(sorted(missing)):
+                seg = left + order + right
+                if all(_rank(seg[k : k + t + 1]) == v for k, v in enumerate(want)):
+                    found.add(pip[: pos - 1] + order + pip[pos - 1 :])
     if len(found) != 1:
         raise NotDecodableError("no unique consecutive reinsertion matches")
     return found.pop()

@@ -9,6 +9,7 @@ confusable under the declared error model receive distinct labels.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import product
@@ -98,33 +99,84 @@ def locate_burst(
 ) -> Interval:
     """Interval covering every burst position consistent with the syndromes.
 
-    Tests each distinct reinsertion of a burst of the observed length for
-    membership in the localization code once, and takes the starts of every
-    member's bursts; the code design keeps all consistent starts within a
-    window of length delta.
+    A start s is consistent when reinserting some tprime bits at s gives a
+    member of the localization code (that also passes extra_check); the code
+    design keeps all consistent starts within a window of length delta.
+
+    The pattern occurrences of xp are found once.  A reinsertion at s keeps
+    the windows of xp that end before s - 1 and shifts those from s on by
+    tprime, so only the windows across the inserted bits are recomputed;
+    the residues and the largest gap then come from prefix sums and from
+    prefix and suffix maxima of the gaps of xp.
     """
     check_binary(xp)
-    tprime = dp.n - len(xp)
+    n, t = dp.n, dp.t
+    tprime = n - len(xp)
     if tprime == 0:
         if not loc_member(xp, c0, c1, dp):
             raise NotDecodableError("input is not a codeword")
         return Interval(1, 1)
-    if not 1 <= tprime <= dp.t:
+    if not 1 <= tprime <= t:
         raise ValueError("burst longer than t")
-    reinsertions = {
-        xp[: s - 1] + bits + xp[s - 1 :]
-        for s in range(1, len(xp) + 2)
-        for bits in product((0, 1), repeat=tprime)
-    }
-    starts = [
-        s
-        for x in reinsertions
-        if loc_member(x, c0, c1, dp) and (extra_check is None or extra_check(x))
-        for s in burst_starts(x, xp, tprime)
-    ]
+    if n < 2 * t:
+        raise ValueError("sequence shorter than the pattern")
+    wb, span = bytes(dp.w), 2 * t
+    xb = bytes(xp)
+    end = n - span + 2  # position of the closing 1 of the padded indicator
+    # padded positions (window start + 1) of the occurrences of w in xp, their
+    # prefix sums, and the largest gap of each prefix (from 0) and of each
+    # suffix (to the closing 1 of xp, end - tprime)
+    occ = [i + 1 for i in range(len(xb) - span + 1) if xb.startswith(wb, i)]
+    pre, head, prev = [0], [0], 0
+    for o in occ:
+        pre.append(pre[-1] + o)
+        head.append(max(head[-1], o - prev))
+        prev = o
+    tail, nxt = [0] * (len(occ) + 1), end - tprime
+    for j in range(len(occ) - 1, -1, -1):
+        tail[j] = max(tail[j + 1], nxt - occ[j])
+        nxt = occ[j]
+    total = len(occ)
+    fills = [(bits, bytes(bits)) for bits in product((0, 1), repeat=tprime)]
+    starts = []
+    for s in range(1, len(xp) + 2):
+        # seg is the inserted bits with up to 2t - 1 bits of xp either side:
+        # its windows, from i0 (0-based start) on, are those that overlap the
+        # inserted bits, and xp's occurrences a..b-1 the ones they replace
+        i0 = max(0, s - span)
+        a, b = bisect_right(occ, s - span), bisect_left(occ, s)
+        left, right = xb[i0 : s - 1], xb[s - 1 : s + span - 2]
+        kept = a + total - b
+        kept_sum = pre[a] + pre[total] - pre[b] + tprime * (total - b)
+        kept_gap = max(head[a], tail[b])
+        before = occ[a - 1] if a else 0
+        after = occ[b] + tprime if b < total else end
+        for bits, fill in fills:
+            seg = left + fill + right
+            # w = 0^t 1^t cannot overlap itself, so count finds every one
+            count = kept + seg.count(wb)
+            if count % 4 != c0:
+                continue
+            new = [
+                i0 + k + 1
+                for k in range(len(seg) - span + 1)
+                if seg.startswith(wb, k)
+            ]
+            # VT of the gap vector: (count + 1) * end - sum of the positions
+            if ((count + 1) * end - kept_sum - sum(new)) % (2 * n) != c1:
+                continue
+            gap, prev = kept_gap, before
+            for o in new:
+                gap = max(gap, o - prev)
+                prev = o
+            if max(gap, after - prev) > dp.delta:
+                continue
+            if extra_check is None or extra_check(xp[: s - 1] + bits + xp[s - 1 :]):
+                starts.append(s)
+                break
     if not starts:
         raise NotDecodableError("localization syndromes inconsistent")
-    return Interval(min(starts), max(starts) + tprime - 1)
+    return Interval(starts[0], starts[-1] + tprime - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +194,19 @@ def _check_capacity(dp: DensityParams) -> None:
         raise ValueError(
             "parameters violate the compression capacity precondition"
         )
+
+
+def capacity_delta(n: int, t: int) -> int:
+    """The least multiple of 2t that is at least default_delta(n, t) and
+    meets the compression capacity.  The paper's delta can fall short of
+    it (n = 1024, t = 2: 640 against 860)."""
+    delta = default_delta(n, t)  # a multiple of 2t
+    while True:
+        try:
+            _check_capacity(DensityParams(n, t, delta))
+            return delta
+        except ValueError:
+            delta += 2 * t
 
 
 def contains_pattern(s: tuple, w: tuple) -> bool:

@@ -77,31 +77,50 @@ class Codebook:
     @staticmethod
     def from_json(text: str) -> "Codebook":
         raw = json.loads(text)
+        if not isinstance(raw, dict):
+            raise ValueError("codebook is not a JSON object")
         if raw.get("schema_version") != SCHEMA_VERSION:
             raise ValueError("unsupported codebook schema version")
         sp = raw.get("spec", {})
+        if not isinstance(sp, dict):
+            raise ValueError("codebook spec is not a JSON object")
         missing = [f"spec.{k}" for k in ("family", "n", "q", "t") if k not in sp]
         missing += [k for k in ("words", "redundancy_bits") if k not in raw]
         if missing:
             raise ValueError(f"codebook lacks {', '.join(missing)}")
-        params = _params_from_json(sp.get("params", {}))
-        spec = CodeSpec(sp["family"], sp["n"], sp["q"], sp["t"], params)
+        if not isinstance(sp["family"], str):
+            raise ValueError("spec.family must be a string")
+        for k in ("n", "q", "t"):
+            if type(sp[k]) is not int:
+                raise ValueError(f"spec.{k} must be an integer")
+        params = sp.get("params", {})
+        if not isinstance(params, dict):
+            raise ValueError("spec.params is not a JSON object")
+        words = raw["words"]
+        if not isinstance(words, list) or not all(
+            isinstance(w, list) and all(type(s) is int for s in w) for w in words
+        ):
+            raise ValueError("words must be lists of integers")
+        spec = CodeSpec(
+            sp["family"], sp["n"], sp["q"], sp["t"],
+            {k: _json_ints(v, f"spec.params.{k}") for k, v in params.items()},
+        )
         return Codebook(
             spec=spec,
-            words=[tuple(w) for w in raw["words"]],
+            words=[tuple(w) for w in words],
             redundancy_bits=raw["redundancy_bits"],
             sampled=raw.get("sampled", False),
             full_size=raw.get("full_size"),
         )
 
 
-def _params_from_json(params: dict) -> dict:
-    def conv(v):
-        if isinstance(v, list):
-            return tuple(conv(x) for x in v)
-        return v
-
-    return {k: conv(v) for k, v in params.items()}
+def _json_ints(v, where: str):
+    """A JSON integer or a (nested) list of them, lists as tuples."""
+    if isinstance(v, list):
+        return tuple(_json_ints(x, where) for x in v)
+    if type(v) is not int:
+        raise ValueError(f"{where} must hold integers, not {v!r}")
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,35 @@ class TestEncode:
         assert code == 0
         assert "1024 -> 1028" in out
 
+    @pytest.mark.parametrize("n,t", [(256, 1), (256, 2), (1024, 2)])
+    def test_dense_default_delta_meets_capacity(self, tmp_path, capsys, n, t):
+        # the paper's delta fails the compressor's capacity here, so the
+        # default is the least multiple of 2t above it that meets it
+        from burstcodes.seqcore import parse_sequence
+        from burstcodes.tburst import DensityParams, capacity_delta, dense_decode
+
+        rng = random.Random(2)
+        src = tmp_path / "x.txt"
+        dst = tmp_path / "y.txt"
+        x = "".join(str(rng.randint(0, 1)) for _ in range(n))
+        src.write_text(x + "\n")
+        code, out, _ = run(
+            capsys, "encode", "--scheme", "dense", "--t", str(t),
+            "--in", str(src), "--out", str(dst),
+        )
+        assert code == 0
+        assert f"{n} -> {n + 4 * t}" in out
+        dp = DensityParams(n, t, capacity_delta(n, t))
+        y = parse_sequence(dst.read_text())
+        assert "".join(map(str, dense_decode(y, dp))) == x
+
+    def test_capacity_delta(self):
+        from burstcodes.tburst import capacity_delta
+
+        assert capacity_delta(1024, 2) == 860
+        assert capacity_delta(256, 1) == 68
+        assert capacity_delta(1024, 1) == 80  # the paper's delta fits here
+
     def test_missing_file(self, tmp_path, capsys):
         code, _, _ = run(
             capsys, "encode", "--scheme", "pll",
@@ -190,7 +219,7 @@ class TestSieveVerifyDecode:
         assert "witness" in out
 
 
-def _book_json(family, n, q, params, words, drop_n=False) -> str:
+def _book_json(family, n, q, params, words, drop_n=False, raw_words=None) -> str:
     from burstcodes.verify import Codebook, CodeSpec
 
     raw = json.loads(
@@ -198,6 +227,8 @@ def _book_json(family, n, q, params, words, drop_n=False) -> str:
     )
     if drop_n:
         del raw["spec"]["n"]
+    if raw_words is not None:
+        raw["words"] = raw_words
     return json.dumps(raw)
 
 
@@ -211,6 +242,13 @@ MALFORMED_BOOKS = {
     "vt-no-a": (_book_json("vt", 4, 2, {}, [(0,) * 4]), "000", "'a'"),
     "ctb-no-params": (
         _book_json("ctb", 8, 4, {}, [(0,) * 8]), "0,0,0,0,0,0,0", "delta",
+    ),
+    "not-an-object": ("[]", "000", "JSON object"),
+    "vt-a-string": (
+        _book_json("vt", 4, 2, {"a": "x"}, [(0,) * 4]), "000", "spec.params.a",
+    ),
+    "word-not-a-list": (
+        _book_json("vt", 4, 2, {"a": 0}, [], raw_words=[5]), "000", "words",
     ),
 }
 
