@@ -13,6 +13,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import product
+from math import ceil, log, log1p
 from operator import or_
 from typing import Callable, Optional
 
@@ -199,14 +200,20 @@ def _check_capacity(dp: DensityParams) -> None:
 def capacity_delta(n: int, t: int) -> int:
     """The least multiple of 2t that is at least default_delta(n, t) and
     meets the compression capacity.  The paper's delta can fall short of
-    it (n = 1024, t = 2: 640 against 860)."""
-    delta = default_delta(n, t)  # a multiple of 2t
+    it (n = 1024, t = 2: 640 against 860).
+
+    delta = 2t * m meets it when (2^2t - 1)^m <= 2^(2tm - c), c = ceil(log n)
+    + 4t + 2, that is from m >= c / -log2(1 - 2^-2t) on: the float estimate
+    of that bound, less one, is where the exact check starts."""
+    step = 2 * t
+    bound = (ceil_log2(n) + 4 * t + 2) * log(2) / -log1p(-(2.0**-step))
+    m = max(default_delta(n, t) // step, ceil(bound) - 1)
     while True:
         try:
-            _check_capacity(DensityParams(n, t, delta))
-            return delta
+            _check_capacity(DensityParams(n, t, m * step))
+            return m * step
         except ValueError:
-            delta += 2 * t
+            m += 1
 
 
 def contains_pattern(s: tuple, w: tuple) -> bool:

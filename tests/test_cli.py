@@ -93,6 +93,8 @@ class TestEncode:
         assert capacity_delta(1024, 2) == 860
         assert capacity_delta(256, 1) == 68
         assert capacity_delta(1024, 1) == 80  # the paper's delta fits here
+        # found from the capacity bound, not by a scan over ~10^4 deltas
+        assert capacity_delta(1024, 5) == 227020
 
     def test_missing_file(self, tmp_path, capsys):
         code, _, _ = run(

@@ -102,10 +102,8 @@ class TestLocateEquivalence:
                 x = tuple(rng.randrange(2) for _ in range(n))
                 for b in rng.sample(list(bursts(n, t, upto=True)), 8):
                     xp = apply_burst(x, b)
-                    dense = [
-                        r for r in map(lambda y: residues(y, dp), reinsertions(xp, b.length))
-                        if r is not None
-                    ]
+                    found = (residues(y, dp) for y in reinsertions(xp, b.length))
+                    dense = [r for r in found if r is not None]
                     c0, c1 = rng.choice(dense) if dense else (0, 0)
                     for check in (None, balanced):
                         assert outcome(
