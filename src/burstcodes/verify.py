@@ -563,9 +563,11 @@ def _greedy_independent(adj: list, cand: int) -> int:
     return size
 
 
-def _max_independent_set(adj: list, node_budget: int = 20_000_000) -> int:
+def _max_independent_set(adj: list, upper: int, node_budget: int = 20_000_000) -> int:
     """Exact MIS: branch and bound on the complement graph (max clique) with
-    a greedy-coloring upper bound, seeded by a greedy lower bound.
+    a greedy-coloring upper bound, seeded by a greedy lower bound.  The
+    search stops as soon as it finds a set of size ``upper``, a known upper
+    bound on the answer.
 
     Raises RuntimeError when the search exceeds ``node_budget`` branch nodes,
     so intractable instances fail loudly instead of running unbounded.
@@ -576,6 +578,8 @@ def _max_independent_set(adj: list, node_budget: int = 20_000_000) -> int:
     full = (1 << n) - 1
     comp = [~adj[i] & full & ~(1 << i) for i in range(n)]
     best = _greedy_independent(adj, full)
+    if best >= upper:
+        return best
     nodes = 0
 
     old_limit = sys.getrecursionlimit()
@@ -613,6 +617,8 @@ def _max_independent_set(adj: list, node_budget: int = 20_000_000) -> int:
                 expand(size + 1, nxt)
             elif size + 1 > best:
                 best = size + 1
+            if best >= upper:
+                return
 
     try:
         expand(0, full)
@@ -621,8 +627,24 @@ def _max_independent_set(adj: list, node_budget: int = 20_000_000) -> int:
     return best
 
 
+def _packing_bound(words: list, t: int) -> int:
+    """Upper bound on a t-burst code within words: codewords have pairwise
+    disjoint descendants under a burst of exactly t deletions, so the k
+    smallest such sets must fit among the descendants of all the words."""
+    balls = [deletion_ball(w, t) for w in words]
+    room = len(set().union(*balls))
+    size = 0
+    for count in sorted(map(len, balls)):
+        room -= count
+        if room < 0:
+            break
+        size += 1
+    return size
+
+
 def _max_code(space: Iterable[tuple], t: int) -> int:
-    return _max_independent_set(_adjacency(list(space), t))
+    words = list(space)
+    return _max_independent_set(_adjacency(words, t), _packing_bound(words, t))
 
 
 def max_code_exact(n: int, q: int, t: int, budget: int = 1 << 14) -> int:

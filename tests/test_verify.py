@@ -33,6 +33,9 @@ from burstcodes.cli import main
 from burstcodes.verify import (
     FAMILIES,
     Codebook,
+    _adjacency,
+    _max_independent_set,
+    _packing_bound,
     book_decoder,
     confusability_check,
     exists_perm_code,
@@ -211,6 +214,23 @@ class TestExactMax:
         got = max_perm_code_exact(5, 2)
         assert got == 12
         assert got <= perm_bound(5, 2).floor
+
+    def test_perm_packing_bound_met(self):
+        # [DERIVED] a burst of 3 deletions leaves 3 of the 20 ordered pairs
+        # of S_5, so at most floor(20/3) = 6 codewords; the greedy set
+        # meets that bound and ends the search
+        words = list(itertools.permutations(range(1, 6)))
+        assert _packing_bound(words, 3) == 6
+        assert max_perm_code_exact(5, 3) == 6
+        assert _max_independent_set(_adjacency(words, 3), len(words)) == 6
+
+    @pytest.mark.parametrize("n,q,t", [(4, 2, 1), (4, 2, 2), (3, 3, 1), (4, 3, 2)])
+    def test_packing_bound_keeps_the_answer(self, n, q, t):
+        # [DERIVED] stopping at the packing bound gives the full search's answer
+        words = list(itertools.product(range(q), repeat=n))
+        full = _max_independent_set(_adjacency(words, t), len(words))
+        assert full <= _packing_bound(words, t)
+        assert max_code_exact(n, q, t) == full
 
     def test_budget_enforced(self):
         with pytest.raises(ValueError):
