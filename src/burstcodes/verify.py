@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import islice, permutations, product
@@ -427,6 +428,16 @@ def _perm_decoder(spec):
     return lambda w, rx, burst: perm_mod.pleqt_decode(rx, params, labeler)
 
 
+_SUMS = ((0, 0), (0, 0))  # shape of block-label sums ((d1, e1), (d2, e2))
+
+
+def _shape(v):
+    """A params value with each integer written as 0."""
+    if isinstance(v, tuple):
+        return tuple(map(_shape, v))
+    return 0 if type(v) is int else type(v).__name__
+
+
 @dataclass(frozen=True)
 class Family:
     """One code family: its sieve, its decoder factory, and its channel."""
@@ -436,6 +447,8 @@ class Family:
     sieve: Callable[..., Codebook]
     # spec -> decoder(codeword, received, burst); None: no decoder
     decoder: Optional[Callable[[CodeSpec], Callable]]
+    # spec -> the _shape of the params the decoder factory takes
+    params: Optional[Callable[[CodeSpec], dict]] = None
     # "burst": a burst of deletions; "induced": a substring aba becomes a
     channel: str = "burst"
     # decoding needs the burst window as side information
@@ -447,19 +460,42 @@ class Family:
 FAMILIES = {
     fam.name: fam
     for fam in (
-        Family("vt", _sieve_vt, _vt_decoder),
-        Family("tenengolts", _sieve_tenengolts, _tenengolts_decoder),
-        Family("levenshtein", _sieve_levenshtein, _levenshtein_decoder),
-        Family("induced", _sieve_induced, _induced_decoder, channel="induced"),
+        Family("vt", _sieve_vt, _vt_decoder, lambda s: {"a": 0}),
+        Family(
+            "tenengolts", _sieve_tenengolts, _tenengolts_decoder,
+            lambda s: {"a": 0, "b": 0},
+        ),
+        Family(
+            "levenshtein", _sieve_levenshtein, _levenshtein_decoder,
+            lambda s: {"a": 0},
+        ),
+        Family(
+            "induced", _sieve_induced, _induced_decoder,
+            lambda s: {"a": 0, "b": 0, "c": 0}, channel="induced",
+        ),
         Family(
             "pbounded", _sieve_pbounded, _pbounded_decoder,
-            needs_window=True, requires=("P",),
+            lambda s: {"P": 0, "c": 0, "d": 0}, needs_window=True, requires=("P",),
         ),
-        Family("pll_lev", _sieve_pll_lev, _levenshtein_decoder),
+        Family("pll_lev", _sieve_pll_lev, _levenshtein_decoder, lambda s: {"a": 0}),
         Family("loc", _sieve_loc, None, requires=("delta",)),
-        Family("c2b", _sieve_c2b, _c2b_decoder),
-        Family("ctb", _sieve_ctb, _ctb_decoder, requires=("delta", "P")),
-        Family("perm", _sieve_perm, _perm_decoder, requires=("delta", "P")),
+        Family(
+            "c2b", _sieve_c2b, _c2b_decoder,
+            lambda s: {"a": 0, "rows": ((0, 0),) * (matrix_rows(s.q) - 1)},
+        ),
+        Family(
+            "ctb", _sieve_ctb, _ctb_decoder,
+            lambda s: {
+                "delta": 0, "P": 0, "c0": 0, "c1": 0,
+                "row_sums": (_SUMS,) * matrix_rows(s.q),
+            },
+            requires=("delta", "P"),
+        ),
+        Family(
+            "perm", _sieve_perm, _perm_decoder,
+            lambda s: {"delta": 0, "P": 0, "c0": 0, "c1": 0, "sums": _SUMS},
+            requires=("delta", "P"),
+        ),
     )
 }
 
@@ -496,18 +532,20 @@ def sieve(
 
 
 def book_decoder(book: Codebook) -> Callable[[tuple, tuple, Burst], tuple]:
-    """Decoder closure for a sieved codebook, from its family's record."""
+    """Decoder closure for a sieved codebook, from its family's record;
+    ValueError when the book's params are not named and shaped as the
+    family's decoder takes them."""
     fam = get_family(book.spec.family)
     if fam.decoder is None:
         raise ValueError(f"no decoder for family {fam.name!r}")
-    # a factory takes its params by name: a missing one is a KeyError, a
-    # missing or unknown field of a params class a TypeError
-    try:
-        return fam.decoder(book.spec)
-    except KeyError as exc:
-        raise ValueError(f"{fam.name} book params lack {exc}") from None
-    except TypeError as exc:
-        raise ValueError(f"{fam.name} book params do not fit: {exc}") from None
+    want = fam.params(book.spec)
+    got = {k: _shape(v) for k, v in book.spec.params.items()}
+    if got != want:
+        raise ValueError(
+            f"{fam.name} book params must have the shape {want} (0 for an "
+            f"integer), not {got}"
+        )
+    return fam.decoder(book.spec)
 
 
 # ---------------------------------------------------------------------------
@@ -563,21 +601,24 @@ def _greedy_independent(adj: list, cand: int) -> int:
     return size
 
 
-def _max_independent_set(adj: list, upper: int, node_budget: int = 20_000_000) -> int:
-    """Exact MIS: branch and bound on the complement graph (max clique) with
-    a greedy-coloring upper bound, seeded by a greedy lower bound.  The
+def _max_independent_set(
+    adj: list, upper: int, node_budget: int = 20_000_000, cand: Optional[int] = None
+) -> int:
+    """Exact MIS among the vertices of the mask ``cand`` (default: all):
+    branch and bound on the complement graph (max clique) with a
+    greedy-coloring upper bound, seeded by a greedy lower bound.  The
     search stops as soon as it finds a set of size ``upper``, a known upper
     bound on the answer.
 
     Raises RuntimeError when the search exceeds ``node_budget`` branch nodes,
     so intractable instances fail loudly instead of running unbounded.
     """
-    import sys
-
     n = len(adj)
     full = (1 << n) - 1
+    if cand is None:
+        cand = full
     comp = [~adj[i] & full & ~(1 << i) for i in range(n)]
-    best = _greedy_independent(adj, full)
+    best = _greedy_independent(adj, cand)
     if best >= upper:
         return best
     nodes = 0
@@ -621,7 +662,7 @@ def _max_independent_set(adj: list, upper: int, node_budget: int = 20_000_000) -
                 return
 
     try:
-        expand(0, full)
+        expand(0, cand)
     finally:
         sys.setrecursionlimit(old_limit)
     return best
@@ -642,19 +683,27 @@ def _packing_bound(words: list, t: int) -> int:
     return size
 
 
-def _max_code(space: Iterable[tuple], t: int) -> int:
-    words = list(space)
+def max_code_exact(n: int, q: int, t: int, budget: int = 1 << 14) -> int:
+    """Exact maximum size of a t-burst code in Sigma_q^n."""
+    words = list(_qary_space(n, q, budget))
     return _max_independent_set(_adjacency(words, t), _packing_bound(words, t))
 
 
-def max_code_exact(n: int, q: int, t: int, budget: int = 1 << 14) -> int:
-    """Exact maximum size of a t-burst code in Sigma_q^n."""
-    return _max_code(_qary_space(n, q, budget), t)
-
-
 def max_perm_code_exact(n: int, t: int, budget: int = 1 << 14) -> int:
-    """Exact maximum size of a t-burst permutation code on S_n."""
-    return _max_code(_perm_space(n, budget), t)
+    """Exact maximum size of a t-burst permutation code on S_n.
+
+    Relabelling values (pi -> sigma o pi) maps every D_{<=t} ball onto
+    another and acts transitively on S_n, so some maximum code contains
+    words[0]: unless the greedy set already meets the packing bound, the
+    exact search runs on the words that do not conflict with words[0]."""
+    words = list(_perm_space(n, budget))
+    adj = _adjacency(words, t)
+    upper = _packing_bound(words, t)
+    full = (1 << len(words)) - 1
+    best = _greedy_independent(adj, full)
+    if best >= upper:
+        return best
+    return 1 + _max_independent_set(adj, upper - 1, cand=full & ~adj[0] & ~1)
 
 
 def exists_perm_code(
@@ -672,10 +721,12 @@ def exists_perm_code(
     harder than vertex-by-vertex branching on the confusability graph and
     can refute sizes on instances whose exact maximum is out of reach.
 
+    The state of a node is immutable: the candidate count of cell c sits
+    in lane c of one int, and the open cells are the lane top bits of
+    another, so a branch builds new ints and backtracking costs nothing.
+
     Raises RuntimeError when the search exceeds ``node_budget`` nodes.
     """
-    import sys
-
     if t < 1 or t >= n:
         raise ValueError("need 1 <= t < n")
     space = _perm_space(n, budget)
@@ -688,132 +739,80 @@ def exists_perm_code(
 
     # primary cells: descendants under a burst of exactly t deletions
     cell_id: dict = {}
-    row_prim = []
-    for w in words:
-        ids = []
-        for d in deletion_ball(w, t, upto=False):
-            ids.append(cell_id.setdefault(d, len(cell_id)))
-        row_prim.append(ids)
+    row_prim = [
+        [cell_id.setdefault(d, len(cell_id)) for d in deletion_ball(w, t, upto=False)]
+        for w in words
+    ]
     ncells = len(cell_id)
     if size * per_word > ncells:
         return False
-
-    # conflict mask: rows sharing any descendant at any level 1..t (incl self)
-    adj = _adjacency(words, t)
-    conflict = [adj[i] | (1 << i) for i in range(nrows)]
-
-    cell_rows: list = [[] for _ in range(ncells)]
+    cell_mask = [0] * ncells  # the rows holding each cell
     for r, ids in enumerate(row_prim):
         for c in ids:
-            cell_rows[c].append(r)
+            cell_mask[c] |= 1 << r
 
-    ALIVE, COVERED, DISCARDED = 0, 1, 2
-    state = [ALIVE] * ncells
-    cnt = [len(cell_rows[c]) for c in range(ncells)]
-    alive = ncells
-    dead0 = 0
+    # cnt packs the count of live rows holding each cell into a lane of
+    # `width` bits whose top bit no count reaches, so adding `low` carries
+    # into the top bit of exactly the nonzero lanes, and cnt ^ k*ones
+    # zeroes exactly the lanes that hold k
+    width = max(m.bit_count() for m in cell_mask).bit_length() + 1
+    ones = sum(1 << width * c for c in range(ncells))
+    top = ones << width - 1
+    low = top - ones
+    # per-row tables, indexed by the bit length of the row's bit so that a
+    # loop over a row mask takes each row with one bit_length(): its bit,
+    # its cells as lane units, the mask that closes them, and the rows that
+    # share no descendant at any level 1..t with it
+    bit = [0] + [1 << r for r in range(nrows)]
+    unit = [0] + [sum(1 << width * c for c in ids) for ids in row_prim]
+    uncover = [~(x << width - 1) for x in unit]
+    adj = _adjacency(words, t)
+    spare = [-1] + [~(a | b) for a, b in zip(adj, bit[1:])]
     nodes = 0
 
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 10 * ncells + 100))
-
-    def remove_rows(mask: int) -> None:
-        nonlocal dead0
-        while mask:
-            b = mask & -mask
-            r = b.bit_length() - 1
-            mask ^= b
-            for c in row_prim[r]:
-                cnt[c] -= 1
-                if cnt[c] == 0 and state[c] == ALIVE:
-                    dead0 += 1
-
-    def restore_rows(mask: int) -> None:
-        nonlocal dead0
-        while mask:
-            b = mask & -mask
-            r = b.bit_length() - 1
-            mask ^= b
-            for c in row_prim[r]:
-                if cnt[c] == 0 and state[c] == ALIVE:
-                    dead0 -= 1
-                cnt[c] += 1
-
-    def cover(r: int) -> list:
-        nonlocal alive, dead0
-        prev = []
-        for c in row_prim[r]:
-            prev.append(state[c])
-            if state[c] == ALIVE:
-                alive -= 1
-                if cnt[c] == 0:
-                    dead0 -= 1
-            state[c] = COVERED
-        return prev
-
-    def uncover(r: int, prev: list) -> None:
-        nonlocal alive, dead0
-        for c, st in zip(row_prim[r], prev):
-            state[c] = st
-            if st == ALIVE:
-                alive += 1
-                if cnt[c] == 0:
-                    dead0 += 1
-
-    def search(s: int, live: int) -> bool:
-        nonlocal nodes, alive, dead0
-        nodes += 1
-        if nodes > node_budget:
-            raise RuntimeError("packing search exceeded node budget")
-        if s >= size:
-            return True
-        if s + (alive - dead0) // per_word < size:
-            return False
-        # unresolved cell with fewest candidates
-        c_pick, m = -1, 1 << 30
-        for c in range(ncells):
-            if state[c] == ALIVE and cnt[c] < m:
-                m = cnt[c]
-                c_pick = c
-                if m == 0:
-                    break
-        if c_pick < 0:
-            return False
-        if m > 0:
-            for r in cell_rows[c_pick]:
-                if not live >> r & 1:
-                    continue
-                removed = live & conflict[r]
-                remove_rows(removed)
-                prev = cover(r)
-                found = search(s + 1, live & ~conflict[r])
-                uncover(r, prev)
-                restore_rows(removed)
-                if found:
-                    return True
-        # nobody owns this cell
-        state[c_pick] = DISCARDED
-        alive -= 1
-        if m == 0:
-            dead0 -= 1
-        found = search(s, live)
-        state[c_pick] = ALIVE
-        alive += 1
-        if m == 0:
-            dead0 += 1
-        return found
+    def search(need: int, live: int, cnt: int, open_: int) -> bool:
+        """Whether codewords that own `need` more cells can be taken from
+        the live rows."""
+        nonlocal nodes
+        while True:  # one node a pass; the last child of a node is the next pass
+            nodes += 1
+            if nodes > node_budget:
+                raise RuntimeError("packing search exceeded node budget")
+            if need <= 0:
+                return True
+            held = open_ & (cnt + low)  # the open cells some live row holds
+            if held.bit_count() < need:
+                return False
+            # open cell with fewest candidates, the lowest such cell first
+            pick = open_ ^ held
+            if not pick:
+                lane = ones
+                pick = held & ~((cnt ^ lane) + low)
+                while not pick:
+                    lane += ones
+                    pick = held & ~((cnt ^ lane) + low)
+                rows = live & cell_mask[(pick & -pick).bit_length() // width - 1]
+                while rows:
+                    r = (rows & -rows).bit_length()
+                    keep = live & spare[r]
+                    gone = live - keep
+                    c = cnt
+                    while gone:
+                        x = gone.bit_length()
+                        c -= unit[x]
+                        gone -= bit[x]
+                    if search(need - per_word, keep, c, open_ & uncover[r]):
+                        return True
+                    rows -= bit[r]
+            # nobody owns this cell
+            open_ ^= pick & -pick
 
     # the conflict structure is invariant under relabelling values, which
     # acts transitively on S_n, so any code can be mapped to one containing
     # the identity: anchor it.
-    try:
-        full = (1 << nrows) - 1
-        removed = full & conflict[0]
-        remove_rows(removed)
-        prev = cover(0)
-        return search(1, full & ~conflict[0])
-    finally:
-        sys.setrecursionlimit(old_limit)
+    live = (1 << nrows) - 1 & spare[1]
+    cnt = sum(u for u, b in zip(unit, bit) if live & b)
+    return search((size - 1) * per_word, live, cnt, top & uncover[1])
 
 
 # ---------------------------------------------------------------------------

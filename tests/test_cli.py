@@ -249,6 +249,17 @@ MALFORMED_BOOKS = {
     "vt-a-string": (
         _book_json("vt", 4, 2, {"a": "x"}, [(0,) * 4]), "000", "spec.params.a",
     ),
+    "vt-a-list": (
+        _book_json("vt", 4, 2, {"a": [1]}, [(0,) * 4]), "000", "'a': 0",
+    ),
+    "ctb-row-sums-short": (
+        _book_json(
+            "ctb", 8, 4,
+            {"delta": 4, "P": 6, "c0": 0, "c1": 0, "row_sums": [[[0, 0], [0, 0]]]},
+            [(0,) * 8],
+        ),
+        "0,0,0,0,0,0,0", "row_sums",
+    ),
     "word-not-a-list": (
         _book_json("vt", 4, 2, {"a": 0}, [], raw_words=[5]), "000", "words",
     ),

@@ -232,6 +232,14 @@ class TestExactMax:
         assert full <= _packing_bound(words, t)
         assert max_code_exact(n, q, t) == full
 
+    @pytest.mark.parametrize("n,t", [(n, t) for n in (4, 5) for t in range(1, n)])
+    def test_anchored_perm_search_matches_full_graph(self, n, t):
+        # [DERIVED] relabelling values acts transitively on S_n, so the
+        # search anchored at the first permutation loses nothing
+        words = list(itertools.permutations(range(1, n + 1)))
+        full = _max_independent_set(_adjacency(words, t), len(words))
+        assert max_perm_code_exact(n, t) == full
+
     def test_budget_enforced(self):
         with pytest.raises(ValueError):
             max_code_exact(20, 2, 2)
@@ -250,6 +258,30 @@ class TestExistsPermCode:
         got = max_perm_code_exact(4, 2)
         assert exists_perm_code(4, 2, got) is True
         assert exists_perm_code(4, 2, got + 1) is False
+
+    # (4, 2) and (5, 2) are bracketed above
+    @pytest.mark.parametrize(
+        "n,t",
+        [(n, t) for n in (3, 4, 5) for t in range(1, n) if (n, t) not in {(4, 2), (5, 2)}]
+        + [(6, 4)],
+    )
+    def test_brackets_exact_max(self, n, t):
+        # [DERIVED] the cell search and the independent-set search agree
+        got = max_perm_code_exact(n, t)
+        assert exists_perm_code(n, t, got) is True
+        assert exists_perm_code(n, t, got + 1) is False
+
+    def test_perfect_code_s6_t3(self):
+        # [DERIVED] max_perm_code_exact(6, 3) is out of reach, but a code
+        # meeting the packing bound 6!/(3!*4) = 30 exists
+        assert exists_perm_code(6, 3, 30) is True
+        assert exists_perm_code(6, 3, 31) is False
+
+    def test_cells_with_many_candidates(self):
+        # [DERIVED] every cell of S_5 under a 3-burst has 18 candidate rows,
+        # of S_6 under a 4-burst 72: a count lane needs more than 4 bits
+        assert exists_perm_code(5, 3, 6) is True
+        assert exists_perm_code(6, 4, 10) is True
 
     def test_trivial_sizes(self):
         # [TRIVIAL] a single codeword is always a valid code
