@@ -7,6 +7,8 @@ before being returned.
 """
 from __future__ import annotations
 
+from operator import le
+
 from .seqcore import (
     NotDecodableError,
     burst_starts,
@@ -28,7 +30,7 @@ def ascent_indicator(u: tuple) -> tuple:
     This is the indicator the q-ary single-deletion code is built on; the
     strict variant with a leading 1 (phi) does not yield a deletion-
     correcting residue."""
-    return tuple(1 if b >= a else 0 for a, b in zip(u, u[1:]))
+    return tuple(bytes(map(le, u, u[1:])))
 
 
 def interleaved_psi(u: tuple) -> tuple:
@@ -291,7 +293,7 @@ def _reinsert_by_phi(half: tuple, value: int, target_phi: tuple) -> set:
 
 
 def _interleave(uo: tuple, ue: tuple) -> tuple:
-    out = []
-    for i in range(len(uo) + len(ue)):
-        out.append(uo[i // 2] if i % 2 == 0 else ue[i // 2])
+    out = [0] * (len(uo) + len(ue))
+    out[0::2] = uo
+    out[1::2] = ue
     return tuple(out)

@@ -17,6 +17,7 @@ from .seqcore import (
     NotDecodableError,
     _bits_to_int,
     _int_to_bits,
+    _period2_diffs,
     burst_starts,
     ceil_log2,
     check_binary,
@@ -39,11 +40,6 @@ def pll_cap(n: int) -> int:
     return ceil_log2(n) + 5
 
 
-def _window_has_period2(y: list, i: int, length: int) -> bool:
-    """Does the whole window y[i..i+length-1] (1-based) have period 2?"""
-    return all(y[j] == y[j + 2] for j in range(i - 1, i - 1 + length - 2))
-
-
 def pll_encode(x: tuple) -> tuple:
     """Append the marker 10, then repeatedly cut long period-2 substrings and
     log each cut as a trailer record 0 . ab . b(i) . 11; output length n+2."""
@@ -53,25 +49,24 @@ def pll_encode(x: tuple) -> tuple:
         raise ValueError(f"pll encoding requires n >= {PLL_MIN_N}")
     clog = ceil_log2(n)
     cap = pll_cap(n)
+    run = bytes(cap - 1)  # the diffs of a period-2 window of cap + 1 bits
     y = list(x) + [1, 0]
     nn = n
-    i = 1
-    while i <= nn - clog - 3:
-        if _window_has_period2(y, i, cap + 1):
-            a, b = y[i - 1], y[i]
-            del y[i - 1 : i - 1 + cap]
-            y += [0, a, b, *_int_to_bits(i, clog), 1, 1]
-            nn -= cap
-            i = 1
-        else:
-            i += 1
+    # cut at the first start i <= nn - clog - 3 of such a window, then
+    # search again from the start of the shortened payload
+    while 1 <= (i := _period2_diffs(y).find(run) + 1) <= nn - clog - 3:
+        a, b = y[i - 1], y[i]
+        del y[i - 1 : i - 1 + cap]
+        y += [0, a, b, *_int_to_bits(i, clog), 1, 1]
+        nn -= cap
     assert len(y) == n + 2
     return tuple(y)
 
 
 def pll_decode(y: tuple, n: int) -> tuple:
     """Invert pll_encode: pop trailer records (last bit pattern 11) last to
-    first, reinserting the period-2 string abab... at the recorded position."""
+    first, reinserting the period-2 string abab... at the recorded position.
+    Any y that is not the encoding of the word so found is refused."""
     check_binary(y)
     clog = ceil_log2(n)
     cap = pll_cap(n)
@@ -95,9 +90,10 @@ def pll_decode(y: tuple, n: int) -> tuple:
         work[i - 1 : i - 1] = pattern
     if work[-2:] != [1, 0]:
         raise NotDecodableError("malformed trailer terminator")
+    # a walk can undo records the encoder would not have made
     x = tuple(work[:-2])
-    if len(x) != n:
-        raise NotDecodableError("decoded payload has wrong length")
+    if pll_encode(x) != tuple(y):
+        raise NotDecodableError("word is not an encoding")
     return x
 
 

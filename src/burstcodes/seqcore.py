@@ -6,6 +6,8 @@ are tuples of 0/1.  All positions in public APIs are 1-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import lt, mul, ne, xor
 from typing import Iterable, Iterator, Optional, Sequence as Seq
 
 MAX_Q = 1 << 16
@@ -55,9 +57,8 @@ def check_symbols(u: Seq[int], q: int) -> None:
 
 
 def check_binary(x: Seq[int]) -> None:
-    for s in x:
-        if s not in (0, 1):
-            raise ValueError("sequence is not binary")
+    if x.count(0) + x.count(1) != len(x):
+        raise ValueError("sequence is not binary")
 
 
 def apply_burst(u: tuple, b: Burst) -> tuple:
@@ -120,44 +121,33 @@ def burst_ball_size(u: tuple, t: int) -> int:
 
 def vt_syndrome(w: Seq[int]) -> int:
     """VT(w) = sum of i * w_i with 1-based i; exact integer, no modulus."""
-    return sum(i * s for i, s in enumerate(w, start=1))
+    return sum(map(mul, w, range(1, len(w) + 1)))
 
 
 def run_syndrome(x: tuple) -> tuple:
     """Return (r, VTr): 0-based run indices of x and their sum."""
     check_binary(x)
-    r = []
-    idx = 0
-    for i, s in enumerate(x):
-        if i > 0 and s != x[i - 1]:
-            idx += 1
-        r.append(idx)
-    return tuple(r), sum(r)
+    r = tuple(accumulate(map(ne, x, x[1:]), initial=0))[: len(x)]
+    return r, sum(r)
 
 
 def psi(x: tuple) -> tuple:
     """Derivative map: psi(x)_i = x_i xor x_{i+1} for i < n, psi(x)_n = x_n."""
     check_binary(x)
-    n = len(x)
-    return tuple(x[i] ^ x[i + 1] if i < n - 1 else x[i] for i in range(n))
+    return (*map(xor, x, x[1:]), *x[-1:])
 
 
 def psi_inv(y: tuple) -> tuple:
     """Inverse of psi: suffix-xor from the right."""
     check_binary(y)
-    out = []
-    acc = 0
-    for s in reversed(y):
-        acc ^= s
-        out.append(acc)
-    return tuple(reversed(out))
+    return tuple(accumulate(reversed(y), xor))[::-1]
 
 
 def phi(u: tuple) -> tuple:
     """Ascent indicator: first bit 1, bit i = 1 iff u_i > u_{i-1}."""
     if not u:
         raise ValueError("phi requires a nonempty sequence")
-    return (1,) + tuple(1 if b > a else 0 for a, b in zip(u, u[1:]))
+    return (1, *bytes(map(lt, u, u[1:])))
 
 
 def longest_period2(x: tuple) -> int:
@@ -166,19 +156,13 @@ def longest_period2(x: tuple) -> int:
     Substrings of length <= 2 vacuously have period 2, so the result is
     min(|x|, 2) at least (and |x| itself for |x| <= 2).
     """
-    n = len(x)
-    if n <= 2:
-        return n
-    best = 2
-    run = 2
-    for i in range(2, n):
-        if x[i] == x[i - 2]:
-            run += 1
-        else:
-            run = 2
-        if run > best:
-            best = run
-    return best
+    return min(len(x), 2 + max(map(len, _period2_diffs(x).split(b"\1"))))
+
+
+def _period2_diffs(x: Seq[int]) -> bytes:
+    """Byte j is 1 iff x_{j+1} != x_{j+3} (1-based): x has a period-2
+    window of length L from position i iff L - 2 zeros start at byte i - 1."""
+    return bytes(map(ne, x, x[2:]))
 
 
 def matrix_rows(q: int) -> int:

@@ -139,15 +139,15 @@ def _alternating_space(n: int, q: int, budget: int) -> Iterable[tuple]:
     if total > budget:
         raise ValueError(f"alternating space of size {total} exceeds budget")
 
-    def rec(prefix):
-        if len(prefix) == n:
-            yield prefix
-            return
-        for s in range(q):
-            if not prefix or s != prefix[-1]:
-                yield from rec(prefix + (s,))
+    def extend(prefixes):
+        return (p + (s,) for p in prefixes for s in range(q) if not p or s != p[-1])
 
-    return rec(())
+    # the words of length n - 1 are 1/(q-1) of the space; the last symbol
+    # is appended lazily
+    prefixes = [()]
+    for _ in range(n - 1):
+        prefixes = list(extend(prefixes))
+    return extend(prefixes)
 
 
 def _perm_space(n: int, budget: int) -> Iterable[tuple]:

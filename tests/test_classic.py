@@ -31,6 +31,9 @@ from burstcodes.pll2burst import (
     c2b_member,
     pbounded_decode,
     pbounded_residues,
+    pll_cap,
+    pll_decode,
+    pll_encode,
 )
 from burstcodes.seqcore import (
     NotDecodableError,
@@ -318,6 +321,20 @@ def _contract_case(rng, family, n):
             y[rng.randrange(len(y))] ^= 1
             y = tuple(y)
         return (lambda: dense_decode(y, dp)), lambda x: dense_encode(x, dp) == y
+    if family == "pll":
+        # a uniform word, or the encoding of a word of period-2 runs of up
+        # to 2 cap bits (so it has records to undo) with one bit flipped
+        if rng.random() < 0.5:
+            y = _bits(rng, n + 2)
+        else:
+            x = []
+            while len(x) < n:
+                a, b = rng.randint(0, 1), rng.randint(0, 1)
+                x.extend((a, b) * rng.randint(1, pll_cap(n)))
+            y = list(pll_encode(tuple(x[:n])))
+            y[rng.randrange(len(y))] ^= 1
+            y = tuple(y)
+        return (lambda: pll_decode(y, n)), lambda x: pll_encode(x) == y
     c, d, m = rng.randrange(2 * P), rng.randrange(3), rng.randint(1, n)
     rx = _bits(rng, n - rng.randint(1, 2))
     params = PBoundedParams(n, P, c, d)
@@ -336,7 +353,7 @@ CONTRACT_CASES = [
     for n in (8, 12)
 ] + [(label, CONTRACT_BOOKS[label][1]) for label in CONTRACT_BOOKS] + [
     ("dense", n) for n in CONTRACT_DENSE
-]
+] + [("pll", n) for n in (16, 64)]
 
 
 @pytest.mark.parametrize(

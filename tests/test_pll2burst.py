@@ -1,6 +1,8 @@
 """Tests for period-2-limited encoding, window-bounded burst decoding, and
 the q-ary two-burst code assembled from them."""
+import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -78,6 +80,47 @@ class TestPllEncode:
     def test_min_length_enforced(self):
         with pytest.raises(ValueError):
             pll_encode((0, 1) * 2)
+
+    def test_outputs_pinned(self):
+        # the encodings of _digest_inputs(), recorded from the per-start
+        # window scan the diff-string search replaced
+        words = _digest_inputs()
+        ys = [pll_encode(x) for x in words]
+        for x, y in zip(words, ys):
+            assert pll_decode(y, len(x)) == x
+        digest = hashlib.sha256(repr(ys).encode()).hexdigest()
+        assert digest == PLL_DIGEST
+
+
+PLL_DIGEST = "ad00c31618add8e37f596bf9b452660ee08fdf16cb05cbd9bf6f2da679a8d773"
+
+
+def _digest_inputs():
+    """Seeded words at n = 10, 16, 64 and 128: uniform ones; ones with one
+    to three planted period-2 runs of cap - 1 to 2 cap + 4 bits, some
+    longer than 2 cap and some ending at one of the last four payload bits,
+    where a window to cut reaches into the marker (the last start tried is
+    n - ceil(log n) - 3); and ones whose every third bit breaks period 2,
+    which the encoder leaves as they are."""
+    rng = random.Random("pll-digest")
+    words = []
+    for n in (10, 16, 64, 128):
+        cap = pll_cap(n)
+        words += [tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(150)]
+        for k in range(300):
+            x = [rng.randint(0, 1) for _ in range(n)]
+            for _ in range(rng.randint(1, 3)):
+                length = min(n, rng.randint(cap - 1, 2 * cap + 4))
+                end = n - rng.randrange(4) if k % 3 == 0 else rng.randint(length, n)
+                a, b = rng.randint(0, 1), rng.randint(0, 1)
+                x[end - length : end] = ((a, b) * length)[:length]
+            words.append(tuple(x))
+        for _ in range(50):
+            x = [rng.randint(0, 1) for _ in range(n)]
+            for j in range(2, n, 3):
+                x[j] = 1 - x[j - 2]
+            words.append(tuple(x))
+    return words
 
 
 class TestLocate:
