@@ -7,20 +7,28 @@ sieve, its decoder factory, its channel, whether decoding needs the burst
 window, and the sieve options it requires.  `sieve`, `book_decoder`,
 `roundtrip_sweep` and the CLI all read the registry.
 
-A sieve enumerates an ambient space (or, for spaces beyond the budget, a
-structured random sample, flagged as sampled), groups words by their residue
-tuple, and keeps the largest group (ties to the lexicographically smallest
-parameter tuple).
+A sieve keeps the largest residue class of an ambient space, ties to the
+lexicographically smallest residue tuple.  The families whose space is
+enumerated in full and whose residues follow from neighbouring symbols
+(vt, tenengolts, levenshtein, induced, pbounded, pll_lev, and c2b through
+its rows) walk a prefix automaton over the whole space, level by level in
+the enumeration order: its states carry the partial residues, the class
+sizes are counted over the final state of each word, and only the words of
+the winning class are materialised.  The tests hold every walk to the
+residue map of `classic` or `pll2burst` on every word of its space.  loc,
+ctb and perm group the words of their space (or, beyond the budget, of a
+structured random sample, flagged as sampled) by residue tuple.
 """
 from __future__ import annotations
 
 import json
 import random
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import islice, permutations, product
-from math import factorial, prod
+from itertools import compress, islice, permutations, product
+from math import factorial, lcm, prod
+from operator import add
 from typing import Callable, Iterable, Optional
 
 from . import classic, perm as perm_mod, pll2burst, tburst
@@ -180,55 +188,207 @@ def _book(family, n, q, t, params, words, ambient, sampled=False, full=None):
     )
 
 
-def _residue_book(family, n, q, t, space, key, names, ambient, **fixed):
-    """Sieve of a residue family: the best group of the space by the key
-    tuple, whose entries become the params `names` after `fixed`."""
-    residues, words = _best_group(space, key)
-    params = {**fixed, **dict(zip(names, residues))}
+def _walk(n: int, q: int, start, step: Callable) -> tuple:
+    """Run a prefix automaton over the words of length n over range(q), in
+    the order of `product`.  step(state, s, j) is the state after symbol s
+    at 1-based position j, or None when the space holds no word with that
+    prefix.  Returns (ids, states): the index in `states` of the final
+    state of each word of the space, in order.
+
+    A level holds few distinct states, so each is stepped once per symbol,
+    and a word costs one list entry per level."""
+    ids, states = [0], [start]
+    for j in range(1, n + 1):
+        index = {}
+        kids = [
+            [
+                index.setdefault(nxt, len(index))
+                for s in range(q)
+                if (nxt := step(st, s, j)) is not None
+            ]
+            for st in states
+        ]
+        ids = [k for i in ids for k in kids[i]]
+        states = list(index)
+    return ids, states
+
+
+def _joint(a: tuple, b: tuple) -> tuple:
+    """The keyed walk of the state pairs of the keyed walks a and b, whose
+    keys are the concatenated residues (None when either is None)."""
+    (ids_a, keys_a), (ids_b, keys_b) = a, b
+    width = len(keys_b)
+    ids = list(map(add, map(width.__mul__, ids_a), ids_b))
+    keys = [
+        None if ka is None or kb is None else ka + kb
+        for ka in keys_a
+        for kb in keys_b
+    ]
+    return ids, keys
+
+
+def _class_book(family, n, q, t, space, walk, names, ambient, **fixed):
+    """Sieve of a residue family over an enumerated space: `walk` is the
+    keyed walk (ids, keys) of the space, keys[i] the residue tuple of the
+    words in state i (None: not in the family).  The largest class wins,
+    ties to the smallest residue tuple; its residues become the params
+    `names` after `fixed`, and only its words are materialised."""
+    ids, keys = walk
+    sizes = Counter()
+    for i, count in Counter(ids).items():
+        if keys[i] is not None:
+            sizes[keys[i]] += count
+    if not sizes:
+        raise ValueError("no word of the ambient space passes the sieve")
+    best = min(sizes, key=lambda k: (-sizes[k], k))
+    hit = [k == best for k in keys]
+    words = list(compress(space, map(hit.__getitem__, ids)))
+    params = {**fixed, **dict(zip(names, best))}
     return _book(family, n, q, t, params, words, ambient)
 
 
+# keyed walks: per family, the automaton whose final state determines the
+# residue map of `classic` or `pll2burst`; tests hold each to its map
+
+
+def _vt_walk(n: int) -> tuple:
+    """VT(x) mod n+1: position j adds j * x_j."""
+    m = n + 1
+    ids, states = _walk(n, 2, 0, lambda v, s, j: (v + j * s) % m)
+    return ids, [(v,) for v in states]
+
+
+def _tenengolts_walk(n: int, q: int) -> tuple:
+    """(VT of the ascent indicator mod n, symbol sum mod q): position j > 1
+    adds (j - 1) * [u_j >= u_{j-1}]."""
+
+    def step(st, s, j):
+        last, vt, total = st
+        return s, (vt + (j - 1) * (s >= last)) % n, (total + s) % q
+
+    ids, states = _walk(n, q, (0, 0, 0), step)
+    return ids, [(vt, total) for _, vt, total in states]
+
+
+def _psi_walk(n: int, m: int) -> tuple:
+    """States (x_j, VT mod m and weight mod 3 of psi(x) without its last
+    bit): position j > 1 adds (j - 1) * (x_{j-1} ^ x_j), and the last bit
+    n * x_n is added by the keys."""
+
+    def step(st, b, j):
+        x, vt, wt = st
+        d = x ^ b if j > 1 else 0
+        return b, (vt + (j - 1) * d) % m, (wt + d) % 3
+
+    return _walk(n, 2, (0, 0, 0), step)
+
+
+def _levenshtein_keys(n: int, states: list) -> list:
+    """(VT(psi(x)) mod 2n,) per state of a _psi_walk modulo a multiple of
+    2n."""
+    return [((vt + n * x) % (2 * n),) for x, vt, _ in states]
+
+
+def _pbounded_keys(n: int, P: int, states: list) -> list:
+    """(VT(psi(x)) mod 2P, wt(psi(x)) mod 3) per state of a _psi_walk."""
+    return [((vt + n * x) % (2 * P), (wt + x) % 3) for x, vt, wt in states]
+
+
+def _period2_walk(n: int) -> tuple:
+    """() for the words whose period-2 runs fit pll_cap(n), else None: the
+    state counts the zero diffs x_{j-2} == x_j in a row, and stays at
+    `full` once a run is too long."""
+    full = pll2burst.pll_cap(n) - 1
+
+    def step(st, b, j):
+        x0, x1, run = st
+        if j > 2 and run < full:
+            run = run + 1 if b == x0 else 0
+        return x1, b, run
+
+    ids, states = _walk(n, 2, (0, 0, 0), step)
+    return ids, [() if run < full else None for *_, run in states]
+
+
+def _induced_walk(n: int, q: int) -> tuple:
+    """(VT of the interleaved psi image mod 2n, odd sum mod q, even sum mod
+    q) of the alternating words.  The interleaved phi image is y_1 = y_2 = 1
+    and y_j = [u_j > u_{j-2}], so position j adds (j - 1) * (y_{j-1} ^ y_j),
+    and the keys add n * y_n."""
+    m = 2 * n
+
+    def vt_step(st, s, j):
+        prev, last, y, vt = st
+        if s == last:
+            return None
+        z = 1 if j <= 2 else int(s > prev)
+        return last, s, z, (vt + (j - 1) * (y ^ z)) % m
+
+    def sum_step(st, s, j):
+        last, odd, even = st
+        if s == last:
+            return None
+        return (s, (odd + s) % q, even) if j % 2 else (s, odd, (even + s) % q)
+
+    ids, states = _walk(n, q, (-1, -1, 1, 0), vt_step)
+    image = ids, [((vt + n * y) % m,) for _, _, y, vt in states]
+    ids, states = _walk(n, q, (-1, 0, 0), sum_step)
+    return _joint(image, (ids, [(odd, even) for _, odd, even in states]))
+
+
 def _sieve_vt(n, budget, **_):
-    return _residue_book(
-        "vt", n, 2, 1, _qary_space(n, 2, budget),
-        lambda x: classic.vt_residues(x, n), ("a",), 2**n,
-    )
+    space = _qary_space(n, 2, budget)
+    return _class_book("vt", n, 2, 1, space, _vt_walk(n), ("a",), 2**n)
 
 
 def _sieve_tenengolts(n, q, budget, **_):
-    return _residue_book(
-        "tenengolts", n, q, 1, _qary_space(n, q, budget),
-        lambda u: classic.tenengolts_residues(u, n, q), ("a", "b"), q**n,
+    space = _qary_space(n, q, budget)
+    return _class_book(
+        "tenengolts", n, q, 1, space, _tenengolts_walk(n, q), ("a", "b"), q**n,
     )
 
 
 def _sieve_levenshtein(n, budget, **_):
-    return _residue_book(
-        "levenshtein", n, 2, 2, _qary_space(n, 2, budget),
-        lambda x: classic.levenshtein_residues(x, n), ("a",), 2**n,
+    space = _qary_space(n, 2, budget)
+    ids, states = _psi_walk(n, 2 * n)
+    return _class_book(
+        "levenshtein", n, 2, 2, space, (ids, _levenshtein_keys(n, states)),
+        ("a",), 2**n,
     )
 
 
 def _sieve_induced(n, q, budget, **_):
-    return _residue_book(
-        "induced", n, q, 2, _alternating_space(n, q, budget),
-        lambda u: classic.induced_residues(u, n, q), ("a", "b", "c"),
+    space = _alternating_space(n, q, budget)
+    if n < 2:
+        raise ValueError("induced requires n >= 2")
+    return _class_book(
+        "induced", n, q, 2, space, _induced_walk(n, q), ("a", "b", "c"),
         q * (q - 1) ** (n - 1),
     )
 
 
-def _sieve_pbounded(n, budget, P, **_):
-    return _residue_book(
-        "pbounded", n, 2, 2, _qary_space(n, 2, budget),
-        lambda x: pll2burst.pbounded_residues(x, P), ("c", "d"), 2**n, P=P,
+def _pbounded_book(n, P, space, psi):
+    ids, states = psi
+    return _class_book(
+        "pbounded", n, 2, 2, space, (ids, _pbounded_keys(n, P, states)),
+        ("c", "d"), 2**n, P=P,
     )
+
+
+def _pll_lev_book(n, space, psi, period2):
+    ids, states = psi
+    walk = _joint((ids, _levenshtein_keys(n, states)), period2)
+    return _class_book("pll_lev", n, 2, 2, space, walk, ("a",), 2**n)
+
+
+def _sieve_pbounded(n, budget, P, **_):
+    space = _qary_space(n, 2, budget)
+    return _pbounded_book(n, P, space, _psi_walk(n, 2 * P))
 
 
 def _sieve_pll_lev(n, budget, **_):
-    return _residue_book(
-        "pll_lev", n, 2, 2, _qary_space(n, 2, budget),
-        lambda x: pll2burst.pll_lev_residues(x, n), ("a",), 2**n,
-    )
+    space = _qary_space(n, 2, budget)
+    return _pll_lev_book(n, space, _psi_walk(n, 2 * n), _period2_walk(n))
 
 
 def _row_product(rows: list, n: int, q: int, max_words: int) -> tuple:
@@ -252,10 +412,15 @@ def _sieve_c2b(n, q, budget, max_words, **_) -> Codebook:
     if q % 2 != 0:
         raise ValueError("c2b requires q even")
     nrows = matrix_rows(q)
-    row1 = _sieve_pll_lev(n, budget)
+    cap = pll2burst.pll_cap(n)
+    space = _qary_space(n, 2, budget)
+    # one psi walk serves both row sieves
+    psi = _psi_walk(n, lcm(2 * n, 2 * cap))
+    row1 = _pll_lev_book(n, space, psi, _period2_walk(n))
     others = []
     if nrows > 1:
-        others = [_sieve_pbounded(n, budget, pll2burst.pll_cap(n))] * (nrows - 1)
+        space = _qary_space(n, 2, budget)
+        others = [_pbounded_book(n, cap, space, psi)] * (nrows - 1)
     params = {
         "a": row1.spec.params["a"],
         "rows": tuple(
@@ -363,13 +528,23 @@ def _sieve_perm(n, t, delta, P, budget, **_) -> Codebook:
     )
     labeler = perm_mod.perm_labeler(dummy)
 
+    # the residues depend on pi only through its half indicator and its
+    # ranking sequence, which many permutations share: each distinct one
+    # is computed once
+    locs, sums_of = {}, {}
+
     def key(pi):
         # the cheap density rejection runs before the ranking sequence
-        loc = tburst.loc_residues(perm_mod.bp_map(pi), dp)
+        bp = perm_mod.bp_map(pi)
+        if bp not in locs:
+            locs[bp] = tburst.loc_residues(bp, dp)
+        loc = locs[bp]
         if loc is None:
             return None
         p = perm_mod.overlap_ranks(pi, t)
-        return (*loc, tburst.block_syndromes(p, P, labeler))
+        if p not in sums_of:
+            sums_of[p] = tburst.block_syndromes(p, P, labeler)
+        return (*loc, sums_of[p])
 
     (c0, c1, sums), words = _best_group(space, key)
     params = {"delta": delta, "P": P, "c0": c0, "c1": c1, "sums": sums}
@@ -525,6 +700,8 @@ def sieve(
     missing = [opt for opt in fam.requires if opt not in extra]
     if missing:
         raise ValueError(f"family {family!r} requires {', '.join(missing)}")
+    if n < 1:
+        raise ValueError(f"sieve requires n >= 1, not {n}")
     return fam.sieve(
         n=n, q=q, t=t, budget=budget, max_words=max_words, samples=samples,
         seed=seed, **extra,

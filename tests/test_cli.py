@@ -194,6 +194,15 @@ class TestSieveVerifyDecode:
         assert option in err
         assert not (tmp_path / "x.json").exists()
 
+    def test_sieve_n0_is_usage_error(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "sieve", "--family", "levenshtein", "--n", "0",
+            "--out", str(tmp_path / "x.json"),
+        )
+        assert code == USAGE_ERROR
+        assert "n >= 1" in err
+        assert not (tmp_path / "x.json").exists()
+
     def test_undecodable_returns_failure(self, tmp_path, capsys):
         book = tmp_path / "book.json"
         run(

@@ -71,6 +71,16 @@ class TestSieve:
         with pytest.raises(ValueError):
             sieve("nope", 8)
 
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_n_below_one_rejected(self, family):
+        # every option a family may require, and an even q for c2b
+        with pytest.raises(ValueError, match="n >= 1"):
+            sieve(family, 0, q=4, delta=4, P=4)
+
+    def test_induced_n1_rejected(self):
+        with pytest.raises(ValueError):
+            sieve("induced", 1, q=3)
+
     def test_deterministic(self):
         a = sieve("tenengolts", 5, q=3)
         b = sieve("tenengolts", 5, q=3)
