@@ -46,6 +46,8 @@ class DensityParams:
     delta: int
 
     def __post_init__(self) -> None:
+        if self.t < 1:
+            raise ValueError("t must be at least 1")
         if self.delta < 2 * self.t:
             raise ValueError("delta must be at least |w| = 2t")
 

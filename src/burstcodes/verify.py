@@ -10,14 +10,15 @@ window, and the sieve options it requires.  `sieve`, `book_decoder`,
 A sieve keeps the largest residue class of an ambient space, ties to the
 lexicographically smallest residue tuple.  The families whose space is
 enumerated in full and whose residues follow from neighbouring symbols
-(vt, tenengolts, levenshtein, induced, pbounded, pll_lev, and c2b through
-its rows) walk a prefix automaton over the whole space, level by level in
-the enumeration order: its states carry the partial residues, the class
-sizes are counted over the final state of each word, and only the words of
-the winning class are materialised.  The tests hold every walk to the
-residue map of `classic` or `pll2burst` on every word of its space.  loc,
-ctb and perm group the words of their space (or, beyond the budget, of a
-structured random sample, flagged as sampled) by residue tuple.
+(vt, tenengolts, levenshtein, induced, pbounded and pll_lev) walk one
+prefix automaton each over the whole space, level by level in the
+enumeration order: its states carry the partial residues, a word's final
+state alone gives its residue key, and only the words of the winning class
+are materialised; c2b takes its rows from the pll_lev and pbounded sieves.
+The tests hold every walk to the residue map of `classic` or `pll2burst`
+on every word of its space.  loc, ctb and perm group the words of their
+space (or, beyond the budget, of a structured random sample, flagged as
+sampled) by residue tuple.
 """
 from __future__ import annotations
 
@@ -27,8 +28,7 @@ import sys
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import compress, islice, permutations, product
-from math import factorial, lcm, prod
-from operator import add
+from math import factorial, prod
 from typing import Callable, Iterable, Optional
 
 from . import classic, perm as perm_mod, pll2burst, tburst
@@ -45,6 +45,7 @@ from .seqcore import (
 
 SCHEMA_VERSION = 1
 DEFAULT_BUDGET = 1 << 24
+SAMPLES = 3000  # pool size of a sampled sieve
 
 
 @dataclass(frozen=True)
@@ -213,20 +214,6 @@ def _walk(n: int, q: int, start, step: Callable) -> tuple:
     return ids, states
 
 
-def _joint(a: tuple, b: tuple) -> tuple:
-    """The keyed walk of the state pairs of the keyed walks a and b, whose
-    keys are the concatenated residues (None when either is None)."""
-    (ids_a, keys_a), (ids_b, keys_b) = a, b
-    width = len(keys_b)
-    ids = list(map(add, map(width.__mul__, ids_a), ids_b))
-    keys = [
-        None if ka is None or kb is None else ka + kb
-        for ka in keys_a
-        for kb in keys_b
-    ]
-    return ids, keys
-
-
 def _class_book(family, n, q, t, space, walk, names, ambient, **fixed):
     """Sieve of a residue family over an enumerated space: `walk` is the
     keyed walk (ids, keys) of the space, keys[i] the residue tuple of the
@@ -284,8 +271,7 @@ def _psi_walk(n: int, m: int) -> tuple:
 
 
 def _levenshtein_keys(n: int, states: list) -> list:
-    """(VT(psi(x)) mod 2n,) per state of a _psi_walk modulo a multiple of
-    2n."""
+    """(VT(psi(x)) mod 2n,) per state of a _psi_walk modulo 2n."""
     return [((vt + n * x) % (2 * n),) for x, vt, _ in states]
 
 
@@ -294,20 +280,26 @@ def _pbounded_keys(n: int, P: int, states: list) -> list:
     return [((vt + n * x) % (2 * P), (wt + x) % 3) for x, vt, wt in states]
 
 
-def _period2_walk(n: int) -> tuple:
-    """() for the words whose period-2 runs fit pll_cap(n), else None: the
-    state counts the zero diffs x_{j-2} == x_j in a row, and stays at
-    `full` once a run is too long."""
-    full = pll2burst.pll_cap(n) - 1
+def _pll_lev_walk(n: int) -> tuple:
+    """(VT(psi(x)) mod 2n,) for the words whose period-2 runs fit
+    pll_cap(n), else None.  States (x_{j-1}, x_j, zero diffs x_{j-2} == x_j
+    in a row, which stays at `full` once a run is too long, and VT mod 2n of
+    psi(x) without its last bit)."""
+    m, full = 2 * n, pll2burst.pll_cap(n) - 1
 
     def step(st, b, j):
-        x0, x1, run = st
+        x0, x1, run, vt = st
         if j > 2 and run < full:
             run = run + 1 if b == x0 else 0
-        return x1, b, run
+        d = x1 ^ b if j > 1 else 0
+        return x1, b, run, (vt + (j - 1) * d) % m
 
-    ids, states = _walk(n, 2, (0, 0, 0), step)
-    return ids, [() if run < full else None for *_, run in states]
+    ids, states = _walk(n, 2, (0, 0, 0, 0), step)
+    keys = [
+        None if run == full else ((vt + n * x1) % m,)
+        for _, x1, run, vt in states
+    ]
+    return ids, keys
 
 
 def _induced_walk(n: int, q: int) -> tuple:
@@ -317,23 +309,19 @@ def _induced_walk(n: int, q: int) -> tuple:
     and the keys add n * y_n."""
     m = 2 * n
 
-    def vt_step(st, s, j):
-        prev, last, y, vt = st
+    def step(st, s, j):
+        prev, last, y, vt, odd, even = st
         if s == last:
             return None
         z = 1 if j <= 2 else int(s > prev)
-        return last, s, z, (vt + (j - 1) * (y ^ z)) % m
+        vt = (vt + (j - 1) * (y ^ z)) % m
+        if j % 2:
+            return last, s, z, vt, (odd + s) % q, even
+        return last, s, z, vt, odd, (even + s) % q
 
-    def sum_step(st, s, j):
-        last, odd, even = st
-        if s == last:
-            return None
-        return (s, (odd + s) % q, even) if j % 2 else (s, odd, (even + s) % q)
-
-    ids, states = _walk(n, q, (-1, -1, 1, 0), vt_step)
-    image = ids, [((vt + n * y) % m,) for _, _, y, vt in states]
-    ids, states = _walk(n, q, (-1, 0, 0), sum_step)
-    return _joint(image, (ids, [(odd, even) for _, odd, even in states]))
+    ids, states = _walk(n, q, (-1, -1, 1, 0, 0, 0), step)
+    keys = [((vt + n * y) % m, odd, even) for _, _, y, vt, odd, even in states]
+    return ids, keys
 
 
 def _sieve_vt(n, budget, **_):
@@ -367,28 +355,18 @@ def _sieve_induced(n, q, budget, **_):
     )
 
 
-def _pbounded_book(n, P, space, psi):
-    ids, states = psi
+def _sieve_pbounded(n, budget, P, **_):
+    space = _qary_space(n, 2, budget)
+    ids, states = _psi_walk(n, 2 * P)
     return _class_book(
         "pbounded", n, 2, 2, space, (ids, _pbounded_keys(n, P, states)),
         ("c", "d"), 2**n, P=P,
     )
 
 
-def _pll_lev_book(n, space, psi, period2):
-    ids, states = psi
-    walk = _joint((ids, _levenshtein_keys(n, states)), period2)
-    return _class_book("pll_lev", n, 2, 2, space, walk, ("a",), 2**n)
-
-
-def _sieve_pbounded(n, budget, P, **_):
-    space = _qary_space(n, 2, budget)
-    return _pbounded_book(n, P, space, _psi_walk(n, 2 * P))
-
-
 def _sieve_pll_lev(n, budget, **_):
     space = _qary_space(n, 2, budget)
-    return _pll_lev_book(n, space, _psi_walk(n, 2 * n), _period2_walk(n))
+    return _class_book("pll_lev", n, 2, 2, space, _pll_lev_walk(n), ("a",), 2**n)
 
 
 def _row_product(rows: list, n: int, q: int, max_words: int) -> tuple:
@@ -411,16 +389,11 @@ def _sieve_c2b(n, q, budget, max_words, **_) -> Codebook:
     of the row books (materialized up to max_words)."""
     if q % 2 != 0:
         raise ValueError("c2b requires q even")
+    row1 = _sieve_pll_lev(n, budget)
     nrows = matrix_rows(q)
-    cap = pll2burst.pll_cap(n)
-    space = _qary_space(n, 2, budget)
-    # one psi walk serves both row sieves
-    psi = _psi_walk(n, lcm(2 * n, 2 * cap))
-    row1 = _pll_lev_book(n, space, psi, _period2_walk(n))
     others = []
     if nrows > 1:
-        space = _qary_space(n, 2, budget)
-        others = [_pbounded_book(n, cap, space, psi)] * (nrows - 1)
+        others = [_sieve_pbounded(n, budget, P=pll2burst.pll_cap(n))] * (nrows - 1)
     params = {
         "a": row1.spec.params["a"],
         "rows": tuple(
@@ -457,11 +430,11 @@ def _dense_sample(n: int, dp: tburst.DensityParams, rng, count: int) -> list:
     return sorted(out)
 
 
-def _sieve_loc(n, t, delta, budget, samples, seed, **_) -> Codebook:
+def _sieve_loc(n, t, delta, budget, seed, **_) -> Codebook:
     dp = tburst.DensityParams(n, t, delta)
     sampled = 2**n > budget
     if sampled:
-        pool = _dense_sample(n, dp, random.Random(seed), samples)
+        pool = _dense_sample(n, dp, random.Random(seed), SAMPLES)
     else:
         pool = _qary_space(n, 2, budget)
     (c0, c1), words = _best_group(pool, lambda x: tburst.loc_residues(x, dp))
@@ -471,7 +444,7 @@ def _sieve_loc(n, t, delta, budget, samples, seed, **_) -> Codebook:
     )
 
 
-def _sieve_ctb(n, q, t, delta, P, budget, samples, seed, max_words, **_):
+def _sieve_ctb(n, q, t, delta, P, budget, seed, max_words, **_):
     """Row-separable sieve with sampled row pools when 2^n is out of budget;
     parameters are the residues of the best (most frequent) tuple."""
     dp = tburst.DensityParams(n, t, delta)
@@ -481,11 +454,11 @@ def _sieve_ctb(n, q, t, delta, P, budget, samples, seed, max_words, **_):
     rng = random.Random(seed)
     sampled = 2**n > budget
     if sampled:
-        row1_pool = _dense_sample(n, dp, rng, samples)
+        row1_pool = _dense_sample(n, dp, rng, SAMPLES)
         plain_pool = sorted(
             {
                 tuple(rng.randint(0, 1) for _ in range(n))
-                for _ in range(samples)
+                for _ in range(SAMPLES)
             }
         )
     else:
@@ -618,7 +591,7 @@ class Family:
     """One code family: its sieve, its decoder factory, and its channel."""
 
     name: str
-    # (n, q, t, budget, max_words, samples, seed, **options) -> Codebook
+    # (n, q, t, budget, max_words, seed, **options) -> Codebook
     sieve: Callable[..., Codebook]
     # spec -> decoder(codeword, received, burst); None: no decoder
     decoder: Optional[Callable[[CodeSpec], Callable]]
@@ -690,7 +663,6 @@ def sieve(
     t: int = 1,
     budget: int = DEFAULT_BUDGET,
     max_words: int = 1 << 14,
-    samples: int = 3000,
     seed: int = 0,
     **extra,
 ) -> Codebook:
@@ -700,11 +672,12 @@ def sieve(
     missing = [opt for opt in fam.requires if opt not in extra]
     if missing:
         raise ValueError(f"family {family!r} requires {', '.join(missing)}")
-    if n < 1:
-        raise ValueError(f"sieve requires n >= 1, not {n}")
+    lows = (("n", n, 1), ("q", q, 2), ("t", t, 1), ("P", extra.get("P", 1), 1))
+    for opt, value, low in lows:
+        if value < low:
+            raise ValueError(f"sieve requires {opt} >= {low}, not {value}")
     return fam.sieve(
-        n=n, q=q, t=t, budget=budget, max_words=max_words, samples=samples,
-        seed=seed, **extra,
+        n=n, q=q, t=t, budget=budget, max_words=max_words, seed=seed, **extra
     )
 
 
@@ -871,8 +844,10 @@ def max_perm_code_exact(n: int, t: int, budget: int = 1 << 14) -> int:
 
     Relabelling values (pi -> sigma o pi) maps every D_{<=t} ball onto
     another and acts transitively on S_n, so some maximum code contains
-    words[0]: unless the greedy set already meets the packing bound, the
-    exact search runs on the words that do not conflict with words[0]."""
+    words[0]: unless the greedy set or the cell search meets the packing
+    bound, the exact search runs on the words that do not conflict with
+    words[0].  The cell search finds perfect codes the colouring bound
+    cannot close (S_6, t = 3), but is slow to refute, so it is asked once."""
     words = list(_perm_space(n, budget))
     adj = _adjacency(words, t)
     upper = _packing_bound(words, t)
@@ -880,6 +855,8 @@ def max_perm_code_exact(n: int, t: int, budget: int = 1 << 14) -> int:
     best = _greedy_independent(adj, full)
     if best >= upper:
         return best
+    if exists_perm_code(n, t, upper, budget):
+        return upper
     return 1 + _max_independent_set(adj, upper - 1, cand=full & ~adj[0] & ~1)
 
 

@@ -96,6 +96,17 @@ class TestEncode:
         # found from the capacity bound, not by a scan over ~10^4 deltas
         assert capacity_delta(1024, 5) == 227020
 
+    def test_dense_t0_is_usage_error(self, tmp_path, capsys):
+        src = tmp_path / "x.txt"
+        src.write_text("0110" * 4 + "\n")
+        code, _, err = run(
+            capsys, "encode", "--scheme", "dense", "--t", "0", "--delta", "8",
+            "--in", str(src), "--out", str(tmp_path / "y.txt"),
+        )
+        assert code == USAGE_ERROR
+        assert "t must be at least 1" in err
+        assert not (tmp_path / "y.txt").exists()
+
     def test_missing_file(self, tmp_path, capsys):
         code, _, _ = run(
             capsys, "encode", "--scheme", "pll",
@@ -201,6 +212,25 @@ class TestSieveVerifyDecode:
         )
         assert code == USAGE_ERROR
         assert "n >= 1" in err
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv, want", [
+            (("--family", "pbounded", "--P", "0"), "P >= 1"),
+            (("--family", "pbounded", "--P", "-3"), "P >= 1"),
+            (("--family", "tenengolts", "--q", "1"), "q >= 2"),
+            (("--family", "loc", "--t", "0", "--delta", "8"), "t >= 1"),
+        ],
+        ids=["pbounded-P0", "pbounded-P-3", "tenengolts-q1", "loc-t0"],
+    )
+    def test_sieve_option_below_range_is_usage_error(
+        self, tmp_path, capsys, argv, want
+    ):
+        code, _, err = run(
+            capsys, "sieve", *argv, "--n", "8", "--out", str(tmp_path / "x.json"),
+        )
+        assert code == USAGE_ERROR
+        assert want in err
         assert not (tmp_path / "x.json").exists()
 
     def test_undecodable_returns_failure(self, tmp_path, capsys):

@@ -4,7 +4,6 @@ of its space, the budget errors, and books of benchmark size pinned byte
 for byte."""
 import hashlib
 from itertools import product
-from math import lcm
 
 import pytest
 
@@ -15,8 +14,7 @@ from burstcodes.classic import (
     tenengolts_residues,
     vt_residues,
 )
-from burstcodes.pll2burst import pbounded_residues, pll_cap, pll_lev_residues
-from burstcodes.seqcore import longest_period2
+from burstcodes.pll2burst import pbounded_residues, pll_lev_residues
 
 
 def per_word(walk):
@@ -45,7 +43,8 @@ def test_psi_walk_levenshtein(n):
 
 
 @pytest.mark.parametrize("n", BINARY_N)
-@pytest.mark.parametrize("P", [1, 2, 3, 5, 6])
+# 5 to 9 are the pll_cap(n) of n <= 12: the P of c2b's other rows
+@pytest.mark.parametrize("P", [1, 2, 3, 5, 6, 7, 8, 9])
 def test_psi_walk_pbounded(n, P):
     ids, states = verify._psi_walk(n, 2 * P)
     got = per_word((ids, verify._pbounded_keys(n, P, states)))
@@ -53,26 +52,9 @@ def test_psi_walk_pbounded(n, P):
 
 
 @pytest.mark.parametrize("n", BINARY_N)
-def test_period2_walk(n):
-    got = per_word(verify._period2_walk(n))
-    assert got == [
-        () if longest_period2(x) <= pll_cap(n) else None for x in binary(n)
-    ]
-
-
-@pytest.mark.parametrize("n", BINARY_N)
-def test_shared_psi_walk_c2b_rows(n):
-    # c2b walks psi once, modulo a multiple of both row moduli
-    cap = pll_cap(n)
-    ids, states = verify._psi_walk(n, lcm(2 * n, 2 * cap))
-    lev = (ids, verify._levenshtein_keys(n, states))
-    words = binary(n)
-    assert per_word(verify._joint(lev, verify._period2_walk(n))) == [
-        pll_lev_residues(x, n) for x in words
-    ]
-    assert per_word((ids, verify._pbounded_keys(n, cap, states))) == [
-        pbounded_residues(x, cap) for x in words
-    ]
+def test_pll_lev_walk(n):
+    got = per_word(verify._pll_lev_walk(n))
+    assert got == [pll_lev_residues(x, n) for x in binary(n)]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])

@@ -2,6 +2,7 @@
 maximum codes, codebook serialization, and round-trip sweeps."""
 import hashlib
 import itertools
+import time
 
 import pytest
 
@@ -234,6 +235,13 @@ class TestExactMax:
         assert max_perm_code_exact(5, 3) == 6
         assert _max_independent_set(_adjacency(words, 3), len(words)) == 6
 
+    def test_max_perm_code_s6_t3(self):
+        # [DERIVED] the greedy set has 27 words; asking the cell search at
+        # the packing bound settles the maximum at 30 in seconds
+        start = time.perf_counter()
+        assert max_perm_code_exact(6, 3) == 30
+        assert time.perf_counter() - start < 5
+
     @pytest.mark.parametrize("n,q,t", [(4, 2, 1), (4, 2, 2), (3, 3, 1), (4, 3, 2)])
     def test_packing_bound_keeps_the_answer(self, n, q, t):
         # [DERIVED] stopping at the packing bound gives the full search's answer
@@ -282,8 +290,8 @@ class TestExistsPermCode:
         assert exists_perm_code(n, t, got + 1) is False
 
     def test_perfect_code_s6_t3(self):
-        # [DERIVED] max_perm_code_exact(6, 3) is out of reach, but a code
-        # meeting the packing bound 6!/(3!*4) = 30 exists
+        # [DERIVED] a code meeting the packing bound 6!/(3!*4) = 30 exists,
+        # which the colouring search alone does not find in minutes
         assert exists_perm_code(6, 3, 30) is True
         assert exists_perm_code(6, 3, 31) is False
 
