@@ -14,7 +14,8 @@ from burstcodes.classic import (
     tenengolts_residues,
     vt_residues,
 )
-from burstcodes.pll2burst import pbounded_residues, pll_lev_residues
+from burstcodes.pll2burst import pbounded_residues, pll_cap, pll_lev_residues
+from burstcodes.seqcore import longest_period2
 
 
 def per_word(walk):
@@ -55,6 +56,29 @@ def test_psi_walk_pbounded(n, P):
 def test_pll_lev_walk(n):
     got = per_word(verify._pll_lev_walk(n))
     assert got == [pll_lev_residues(x, n) for x in binary(n)]
+
+
+@pytest.mark.parametrize("n", BINARY_N)
+def test_period2_walk(n):
+    # the pll_lev walk drops (keys None) exactly the words whose longest
+    # period-2 run exceeds pll_cap(n)
+    got = [k is not None for k in per_word(verify._pll_lev_walk(n))]
+    assert got == [longest_period2(x) <= pll_cap(n) for x in binary(n)]
+
+
+@pytest.mark.parametrize("n", BINARY_N)
+def test_shared_psi_walk_c2b_rows(n):
+    # c2b takes row 1 from the pll_lev walk and its other rows from the psi
+    # walk keyed as the pbounded code with P = pll_cap(n)
+    cap = pll_cap(n)
+    words = binary(n)
+    assert per_word(verify._pll_lev_walk(n)) == [
+        pll_lev_residues(x, n) for x in words
+    ]
+    ids, states = verify._psi_walk(n, 2 * cap)
+    assert per_word((ids, verify._pbounded_keys(n, cap, states))) == [
+        pbounded_residues(x, cap) for x in words
+    ]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
