@@ -47,9 +47,9 @@ def cmd_encode(args) -> int:
     if args.scheme == "pll":
         y = pll2burst.pll_encode(x)
     else:
-        dp = tburst.DensityParams(
-            len(x), args.t, args.delta or tburst.capacity_delta(len(x), args.t)
-        )
+        if args.delta is None:
+            args.delta = tburst.capacity_delta(len(x), args.t)
+        dp = tburst.DensityParams(len(x), args.t, args.delta)
         y = tburst.dense_encode(x, dp)
     _write_sequence(args.out, y)
     print(f"encoded {len(x)} -> {len(y)} symbols")
@@ -146,7 +146,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_table(args) -> int:
-    families = args.families.split(",")
+    families = [verify.get_family(f).name for f in args.families.split(",")]
     ns = [int(x) for x in args.ns.split(",")]
     rows = bounds.redundancy_table(families, ns, q=args.q, t=args.t)
     with open(args.out, "w", newline="") as fh:

@@ -207,6 +207,8 @@ def capacity_delta(n: int, t: int) -> int:
     delta = 2t * m meets it when (2^2t - 1)^m <= 2^(2tm - c), c = ceil(log n)
     + 4t + 2, that is from m >= c / -log2(1 - 2^-2t) on: the float estimate
     of that bound, less one, is where the exact check starts."""
+    if t < 1:
+        raise ValueError("t must be at least 1")
     step = 2 * t
     bound = (ceil_log2(n) + 4 * t + 2) * log(2) / -log1p(-(2.0**-step))
     m = max(default_delta(n, t) // step, ceil(bound) - 1)

@@ -8,17 +8,18 @@ window, and the sieve options it requires.  `sieve`, `book_decoder`,
 `roundtrip_sweep` and the CLI all read the registry.
 
 A sieve keeps the largest residue class of an ambient space, ties to the
-lexicographically smallest residue tuple.  The families whose space is
-enumerated in full and whose residues follow from neighbouring symbols
-(vt, tenengolts, levenshtein, induced, pbounded and pll_lev) walk one
-prefix automaton each over the whole space, level by level in the
-enumeration order: its states carry the partial residues, a word's final
-state alone gives its residue key, and only the words of the winning class
-are materialised; c2b takes its rows from the pll_lev and pbounded sieves.
-The tests hold every walk to the residue map of `classic` or `pll2burst`
-on every word of its space.  loc, ctb and perm group the words of their
-space (or, beyond the budget, of a structured random sample, flagged as
-sampled) by residue tuple.
+lexicographically smallest residue tuple.  The families whose residues
+follow from neighbouring symbols (vt, tenengolts, levenshtein, induced,
+pbounded and pll_lev) each have one prefix automaton whose states carry the
+partial residues, whose step drops the prefixes outside the space, and
+whose final state alone gives a word's residue key.  Counting the words per
+state, level by level, gives every class size without listing the space;
+only the words of the winning class are built, along the states from which
+it can be reached.  c2b takes its rows from the pll_lev and pbounded
+sieves.  The tests hold every automaton to the residue map of `classic` or
+`pll2burst` on every word of its space.  loc, ctb and perm group the words
+of their space (or, beyond the budget, of a structured random sample,
+flagged as sampled) by residue tuple.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ import random
 import sys
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import compress, islice, permutations, product
+from itertools import islice, permutations, product
 from math import factorial, prod
 from typing import Callable, Iterable, Optional
 
@@ -143,38 +144,28 @@ def _qary_space(n: int, q: int, budget: int) -> Iterable[tuple]:
     return product(range(q), repeat=n)
 
 
-def _alternating_space(n: int, q: int, budget: int) -> Iterable[tuple]:
-    total = q * (q - 1) ** (n - 1)
-    if total > budget:
-        raise ValueError(f"alternating space of size {total} exceeds budget")
-
-    def extend(prefixes):
-        return (p + (s,) for p in prefixes for s in range(q) if not p or s != p[-1])
-
-    # the words of length n - 1 are 1/(q-1) of the space; the last symbol
-    # is appended lazily
-    prefixes = [()]
-    for _ in range(n - 1):
-        prefixes = list(extend(prefixes))
-    return extend(prefixes)
-
-
 def _perm_space(n: int, budget: int) -> Iterable[tuple]:
     if factorial(n) > budget:
         raise ValueError("permutation space exceeds budget")
     return permutations(range(1, n + 1))
 
 
+def _largest(sizes: dict):
+    """The key of the largest class of sizes (key -> class size), ties to
+    the smallest key; the key None (words outside the family) never wins."""
+    keys = [k for k in sizes if k is not None]
+    if not keys:
+        raise ValueError("no word of the ambient space passes the sieve")
+    return min(keys, key=lambda k: (-sizes[k], k))
+
+
 def _best_group(words: Iterable[tuple], key: Callable) -> tuple:
-    """Group words by key(word), skipping words whose key is None; return
-    the key and words of the largest group (ties to the smallest key)."""
+    """Group words by key(word); return the key and words of the largest
+    group, chosen by _largest."""
     groups = defaultdict(list)
     for x in words:
         groups[key(x)].append(x)
-    groups.pop(None, None)
-    if not groups:
-        raise ValueError("no word of the ambient space passes the sieve")
-    best = min(groups, key=lambda k: (-len(groups[k]), k))
+    best = _largest({k: len(g) for k, g in groups.items()})
     return best, groups[best]
 
 
@@ -189,60 +180,82 @@ def _book(family, n, q, t, params, words, ambient, sampled=False, full=None):
     )
 
 
-def _walk(n: int, q: int, start, step: Callable) -> tuple:
-    """Run a prefix automaton over the words of length n over range(q), in
-    the order of `product`.  step(state, s, j) is the state after symbol s
-    at 1-based position j, or None when the space holds no word with that
-    prefix.  Returns (ids, states): the index in `states` of the final
-    state of each word of the space, in order.
-
-    A level holds few distinct states, so each is stepped once per symbol,
-    and a word costs one list entry per level."""
-    ids, states = [0], [start]
+def _walk(n: int, q: int, start, step: Callable) -> list:
+    """Count the words of length n over range(q) per state of a prefix
+    automaton: levels[j] maps each state reached after j symbols to the
+    number of prefixes that reach it.  step(state, s, j) is the state after
+    symbol s at 1-based position j, or None when the space holds no word
+    with that prefix.  A level holds few states, each stepped once per
+    symbol, whatever the size of the space."""
+    levels = [{start: 1}]
     for j in range(1, n + 1):
-        index = {}
-        kids = [
-            [
-                index.setdefault(nxt, len(index))
-                for s in range(q)
-                if (nxt := step(st, s, j)) is not None
-            ]
-            for st in states
-        ]
-        ids = [k for i in ids for k in kids[i]]
-        states = list(index)
-    return ids, states
+        level = defaultdict(int)
+        for st, count in levels[-1].items():
+            for s in range(q):
+                if (nxt := step(st, s, j)) is not None:
+                    level[nxt] += count
+        levels.append(level)
+    return levels
 
 
-def _class_book(family, n, q, t, space, walk, names, ambient, **fixed):
-    """Sieve of a residue family over an enumerated space: `walk` is the
-    keyed walk (ids, keys) of the space, keys[i] the residue tuple of the
-    words in state i (None: not in the family).  The largest class wins,
-    ties to the smallest residue tuple; its residues become the params
-    `names` after `fixed`, and only its words are materialised."""
-    ids, keys = walk
+def _best_class(n: int, q: int, walk: tuple) -> tuple:
+    """The key and the words, in the order of `product`, of the largest
+    class (see _largest) of the words of length n over range(q) under the
+    automaton walk = (start, step, key), key(state) being the residue tuple
+    of the words that end in state.  The class sizes come from the last
+    level of _walk, and only the winning words are built: going backward,
+    each level keeps the moves of the states from which a winning final
+    state can be reached, and the prefixes follow them."""
+    start, step, key = walk
+    levels = _walk(n, q, start, step)
     sizes = Counter()
-    for i, count in Counter(ids).items():
-        if keys[i] is not None:
-            sizes[keys[i]] += count
-    if not sizes:
-        raise ValueError("no word of the ambient space passes the sieve")
-    best = min(sizes, key=lambda k: (-sizes[k], k))
-    hit = [k == best for k in keys]
-    words = list(compress(space, map(hit.__getitem__, ids)))
+    for st, count in levels[-1].items():
+        sizes[key(st)] += count
+    best = _largest(sizes)
+    live = {st for st in levels.pop() if key(st) == best}
+    moves = []  # moves[j][state]: (symbol, next state) of the live states
+    for j in range(n, 0, -1):
+        kids = {}
+        for st in levels.pop():
+            nxt = [(s, x) for s in range(q) if (x := step(st, s, j)) in live]
+            if nxt:
+                kids[st] = nxt
+        moves.append(kids)
+        live = kids
+    moves.reverse()
+    return best, _extend((), start, moves, [])
+
+
+def _extend(prefix: tuple, st, moves: list, words: list) -> list:
+    """Append to words, in the order of `product`, the extensions of prefix
+    (in state st) along moves to the last level; return words."""
+    if len(prefix) == len(moves):
+        words.append(prefix)
+    else:
+        for s, nxt in moves[len(prefix)][st]:
+            _extend(prefix + (s,), nxt, moves, words)
+    return words
+
+
+def _class_book(family, n, q, t, walk, names, ambient, budget, **fixed):
+    """Sieve of a family whose `ambient` words are those of the automaton
+    `walk`: the residues of _best_class are the params `names` after `fixed`."""
+    if ambient > budget:
+        raise ValueError(f"ambient space of size {ambient} exceeds budget {budget}")
+    best, words = _best_class(n, q, walk)
     params = {**fixed, **dict(zip(names, best))}
     return _book(family, n, q, t, params, words, ambient)
 
 
-# keyed walks: per family, the automaton whose final state determines the
-# residue map of `classic` or `pll2burst`; tests hold each to its map
+# automata (start, step, key): per family, the prefix automaton whose final
+# state determines the residue map of `classic` or `pll2burst`; tests hold
+# each to its map
 
 
 def _vt_walk(n: int) -> tuple:
     """VT(x) mod n+1: position j adds j * x_j."""
     m = n + 1
-    ids, states = _walk(n, 2, 0, lambda v, s, j: (v + j * s) % m)
-    return ids, [(v,) for v in states]
+    return 0, lambda v, s, j: (v + j * s) % m, lambda v: (v,)
 
 
 def _tenengolts_walk(n: int, q: int) -> tuple:
@@ -253,60 +266,58 @@ def _tenengolts_walk(n: int, q: int) -> tuple:
         last, vt, total = st
         return s, (vt + (j - 1) * (s >= last)) % n, (total + s) % q
 
-    ids, states = _walk(n, q, (0, 0, 0), step)
-    return ids, [(vt, total) for _, vt, total in states]
+    return (0, 0, 0), step, lambda st: st[1:]
 
 
-def _psi_walk(n: int, m: int) -> tuple:
-    """States (x_j, VT mod m and weight mod 3 of psi(x) without its last
-    bit): position j > 1 adds (j - 1) * (x_{j-1} ^ x_j), and the last bit
-    n * x_n is added by the keys."""
+def _pbounded_walk(n: int, P: int) -> tuple:
+    """(VT(psi(x)) mod 2P, wt(psi(x)) mod 3).  States (x_j, VT mod 2P and
+    weight mod 3 of psi(x) without its last bit): position j > 1 adds
+    (j - 1) * (x_{j-1} ^ x_j), and the key adds the last bit x_n."""
+    m = 2 * P
 
     def step(st, b, j):
         x, vt, wt = st
         d = x ^ b if j > 1 else 0
         return b, (vt + (j - 1) * d) % m, (wt + d) % 3
 
-    return _walk(n, 2, (0, 0, 0), step)
+    def key(st):
+        x, vt, wt = st
+        return (vt + n * x) % m, (wt + x) % 3
+
+    return (0, 0, 0), step, key
 
 
-def _levenshtein_keys(n: int, states: list) -> list:
-    """(VT(psi(x)) mod 2n,) per state of a _psi_walk modulo 2n."""
-    return [((vt + n * x) % (2 * n),) for x, vt, _ in states]
-
-
-def _pbounded_keys(n: int, P: int, states: list) -> list:
-    """(VT(psi(x)) mod 2P, wt(psi(x)) mod 3) per state of a _psi_walk."""
-    return [((vt + n * x) % (2 * P), (wt + x) % 3) for x, vt, wt in states]
+def _levenshtein_walk(n: int) -> tuple:
+    """(VT(psi(x)) mod 2n,): the psi step of the pbounded walk with P = n,
+    keyed without the weight."""
+    start, step, key = _pbounded_walk(n, n)
+    return start, step, lambda st: key(st)[:1]
 
 
 def _pll_lev_walk(n: int) -> tuple:
-    """(VT(psi(x)) mod 2n,) for the words whose period-2 runs fit
-    pll_cap(n), else None.  States (x_{j-1}, x_j, zero diffs x_{j-2} == x_j
-    in a row, which stays at `full` once a run is too long, and VT mod 2n of
-    psi(x) without its last bit)."""
+    """(VT(psi(x)) mod 2n,) of the words whose period-2 runs fit
+    pll_cap(n); the step drops every other prefix.  States (x_{j-1}, x_j,
+    zero diffs x_{j-2} == x_j in a row, and VT mod 2n of psi(x) without its
+    last bit)."""
     m, full = 2 * n, pll2burst.pll_cap(n) - 1
 
     def step(st, b, j):
         x0, x1, run, vt = st
-        if j > 2 and run < full:
+        if j > 2:
             run = run + 1 if b == x0 else 0
+            if run == full:
+                return None
         d = x1 ^ b if j > 1 else 0
         return x1, b, run, (vt + (j - 1) * d) % m
 
-    ids, states = _walk(n, 2, (0, 0, 0, 0), step)
-    keys = [
-        None if run == full else ((vt + n * x1) % m,)
-        for _, x1, run, vt in states
-    ]
-    return ids, keys
+    return (0, 0, 0, 0), step, lambda st: ((st[3] + n * st[1]) % m,)
 
 
 def _induced_walk(n: int, q: int) -> tuple:
     """(VT of the interleaved psi image mod 2n, odd sum mod q, even sum mod
-    q) of the alternating words.  The interleaved phi image is y_1 = y_2 = 1
-    and y_j = [u_j > u_{j-2}], so position j adds (j - 1) * (y_{j-1} ^ y_j),
-    and the keys add n * y_n."""
+    q) of the alternating words; the step drops every other prefix.  The
+    interleaved phi image is y_1 = y_2 = 1 and y_j = [u_j > u_{j-2}], so
+    position j adds (j - 1) * (y_{j-1} ^ y_j), and the key adds n * y_n."""
     m = 2 * n
 
     def step(st, s, j):
@@ -319,54 +330,41 @@ def _induced_walk(n: int, q: int) -> tuple:
             return last, s, z, vt, (odd + s) % q, even
         return last, s, z, vt, odd, (even + s) % q
 
-    ids, states = _walk(n, q, (-1, -1, 1, 0, 0, 0), step)
-    keys = [((vt + n * y) % m, odd, even) for _, _, y, vt, odd, even in states]
-    return ids, keys
+    def key(st):
+        _, _, y, vt, odd, even = st
+        return (vt + n * y) % m, odd, even
+
+    return (-1, -1, 1, 0, 0, 0), step, key
 
 
 def _sieve_vt(n, budget, **_):
-    space = _qary_space(n, 2, budget)
-    return _class_book("vt", n, 2, 1, space, _vt_walk(n), ("a",), 2**n)
+    return _class_book("vt", n, 2, 1, _vt_walk(n), ("a",), 2**n, budget)
 
 
 def _sieve_tenengolts(n, q, budget, **_):
-    space = _qary_space(n, q, budget)
-    return _class_book(
-        "tenengolts", n, q, 1, space, _tenengolts_walk(n, q), ("a", "b"), q**n,
-    )
+    walk = _tenengolts_walk(n, q)
+    return _class_book("tenengolts", n, q, 1, walk, ("a", "b"), q**n, budget)
 
 
 def _sieve_levenshtein(n, budget, **_):
-    space = _qary_space(n, 2, budget)
-    ids, states = _psi_walk(n, 2 * n)
-    return _class_book(
-        "levenshtein", n, 2, 2, space, (ids, _levenshtein_keys(n, states)),
-        ("a",), 2**n,
-    )
+    walk = _levenshtein_walk(n)
+    return _class_book("levenshtein", n, 2, 2, walk, ("a",), 2**n, budget)
 
 
 def _sieve_induced(n, q, budget, **_):
-    space = _alternating_space(n, q, budget)
     if n < 2:
         raise ValueError("induced requires n >= 2")
-    return _class_book(
-        "induced", n, q, 2, space, _induced_walk(n, q), ("a", "b", "c"),
-        q * (q - 1) ** (n - 1),
-    )
+    walk, size = _induced_walk(n, q), q * (q - 1) ** (n - 1)
+    return _class_book("induced", n, q, 2, walk, ("a", "b", "c"), size, budget)
 
 
 def _sieve_pbounded(n, budget, P, **_):
-    space = _qary_space(n, 2, budget)
-    ids, states = _psi_walk(n, 2 * P)
-    return _class_book(
-        "pbounded", n, 2, 2, space, (ids, _pbounded_keys(n, P, states)),
-        ("c", "d"), 2**n, P=P,
-    )
+    walk = _pbounded_walk(n, P)
+    return _class_book("pbounded", n, 2, 2, walk, ("c", "d"), 2**n, budget, P=P)
 
 
 def _sieve_pll_lev(n, budget, **_):
-    space = _qary_space(n, 2, budget)
-    return _class_book("pll_lev", n, 2, 2, space, _pll_lev_walk(n), ("a",), 2**n)
+    return _class_book("pll_lev", n, 2, 2, _pll_lev_walk(n), ("a",), 2**n, budget)
 
 
 def _row_product(rows: list, n: int, q: int, max_words: int) -> tuple:
@@ -447,10 +445,9 @@ def _sieve_loc(n, t, delta, budget, seed, **_) -> Codebook:
 def _sieve_ctb(n, q, t, delta, P, budget, seed, max_words, **_):
     """Row-separable sieve with sampled row pools when 2^n is out of budget;
     parameters are the residues of the best (most frequent) tuple."""
-    dp = tburst.DensityParams(n, t, delta)
-    labeler = tburst.BlockLabeler(
-        {k: tburst.oracle_build_brute(k, t, "burst") for k in {P, 2 * P}}
-    )
+    # CtbParams refuses what the decoder would, before any oracle is built
+    dummy = tburst.CtbParams(n, q, t, delta, P, 0, 0, ())
+    dp, labeler = dummy.density, tburst.BlockLabeler(tburst.ctb_oracles(dummy))
     rng = random.Random(seed)
     sampled = 2**n > budget
     if sampled:

@@ -107,6 +107,29 @@ class TestEncode:
         assert "t must be at least 1" in err
         assert not (tmp_path / "y.txt").exists()
 
+    @pytest.mark.parametrize(
+        "argv, want", [
+            (("--t", "0"), "t must be at least 1"),
+            (("--t", "-1"), "t must be at least 1"),
+            (("--delta", "0"), "delta must be at least |w| = 2t"),
+        ],
+        ids=["t0", "t-1", "delta0"],
+    )
+    def test_dense_option_below_range_is_usage_error(
+        self, tmp_path, capsys, argv, want
+    ):
+        # without --delta the default is computed from t, which must be
+        # checked first; --delta 0 is refused, not replaced by the default
+        src = tmp_path / "x.txt"
+        src.write_text("0110" * 4 + "\n")
+        code, _, err = run(
+            capsys, "encode", "--scheme", "dense", *argv,
+            "--in", str(src), "--out", str(tmp_path / "y.txt"),
+        )
+        assert code == USAGE_ERROR
+        assert want in err
+        assert not (tmp_path / "y.txt").exists()
+
     def test_missing_file(self, tmp_path, capsys):
         code, _, _ = run(
             capsys, "encode", "--scheme", "pll",
@@ -233,6 +256,28 @@ class TestSieveVerifyDecode:
         assert want in err
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize(
+        "argv, want", [
+            (("--q", "3", "--t", "1", "--delta", "2", "--P", "2"), "require q even"),
+            (
+                ("--q", "2", "--t", "2", "--delta", "7", "--P", "4"),
+                "require delta + t - 1 <= P",
+            ),
+        ],
+        ids=["q3", "window-past-P"],
+    )
+    def test_sieve_ctb_params_refused_by_decoder_are_usage_error(
+        self, tmp_path, capsys, argv, want
+    ):
+        # no book is written that `verify --sweep` could not decode
+        code, _, err = run(
+            capsys, "sieve", "--family", "ctb", "--n", "8", *argv,
+            "--out", str(tmp_path / "x.json"),
+        )
+        assert code == USAGE_ERROR
+        assert want in err
+        assert not (tmp_path / "x.json").exists()
+
     def test_undecodable_returns_failure(self, tmp_path, capsys):
         book = tmp_path / "book.json"
         run(
@@ -350,3 +395,25 @@ class TestTable:
         rows = list(csv.reader(lines[1:]))
         assert rows[0] == ["family", "burst", "formula", "n=16", "n=32"]
         assert len(rows) == 3
+
+    def test_unknown_family_is_usage_error(self, tmp_path, capsys):
+        out_path = tmp_path / "table.csv"
+        code, _, err = run(
+            capsys, "table", "--families", "vt,foo", "--ns", "8",
+            "--out", str(out_path),
+        )
+        assert code == USAGE_ERROR
+        assert "unknown family 'foo'" in err
+        assert not out_path.exists()
+
+    def test_registry_family_without_formula_keeps_its_row(self, tmp_path, capsys):
+        out_path = tmp_path / "table.csv"
+        code, _, _ = run(
+            capsys, "table", "--families", "pbounded,pll_lev,loc", "--ns", "8",
+            "--out", str(out_path),
+        )
+        assert code == 0
+        rows = list(csv.reader(out_path.read_text().splitlines()[1:]))
+        assert [r[:3] for r in rows[1:]] == [
+            ["pbounded", "?", "?"], ["pll_lev", "?", "?"], ["loc", "?", "?"],
+        ]

@@ -10,7 +10,7 @@ from itertools import product
 
 import pytest
 
-from burstcodes import classic, seqcore, verify
+from burstcodes import classic, seqcore
 
 BINARY = [x for n in range(13) for x in product((0, 1), repeat=n)]
 
@@ -98,18 +98,6 @@ def ref_interleave(uo, ue):
     return tuple(out)
 
 
-def ref_alternating_space(n, q):
-    def rec(prefix):
-        if len(prefix) == n:
-            yield prefix
-            return
-        for s in range(q):
-            if not prefix or s != prefix[-1]:
-                yield from rec(prefix + (s,))
-
-    return rec(())
-
-
 def _outcome(f, *args):
     """repr of the value, so that 1 and True or a tuple and a list differ,
     or the type and message of the ValueError raised."""
@@ -156,13 +144,3 @@ def test_interleave_matches_reference():
                     ref_interleave(uo, ue)
                 with pytest.raises((IndexError, ValueError)):
                     classic._interleave(uo, ue)
-
-
-def test_alternating_space_matches_reference():
-    # same words in the same order: books keep the order of their space
-    for n in range(1, 7):
-        for q in (2, 3, 4, 5):
-            got = list(verify._alternating_space(n, q, 1 << 20))
-            assert got == list(ref_alternating_space(n, q)), (n, q)
-    with pytest.raises(ValueError, match="exceeds budget"):
-        verify._alternating_space(10, 4, 1000)

@@ -1,8 +1,10 @@
-"""Tests for the prefix-automaton walks that sieve the exhaustive residue
-families: every walk against the residue map it stands for, on every word
-of its space, the budget errors, and books of benchmark size pinned byte
-for byte."""
+"""Tests for the prefix automata that sieve the exhaustive residue
+families: every automaton against the residue map it stands for, on every
+word of its space, the class sizes counted per state and the class built
+from them against the per-word keys, the budget errors, and books of
+benchmark size pinned byte for byte."""
 import hashlib
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -10,6 +12,7 @@ import pytest
 from burstcodes import verify
 from burstcodes.classic import (
     induced_residues,
+    is_alternating,
     levenshtein_residues,
     tenengolts_residues,
     vt_residues,
@@ -18,10 +21,26 @@ from burstcodes.pll2burst import pbounded_residues, pll_cap, pll_lev_residues
 from burstcodes.seqcore import longest_period2
 
 
-def per_word(walk):
-    """The keys of a keyed walk (ids, keys), one per word of its space."""
-    ids, keys = walk
-    return [keys[i] for i in ids]
+def end(walk, word):
+    """The state an automaton (start, step, key) is in after word, or None
+    when a step drops the word."""
+    start, step, _ = walk
+    st = start
+    for j, s in enumerate(word, start=1):
+        st = step(st, s, j)
+        if st is None:
+            return None
+    return st
+
+
+def run(walk, word):
+    """The key of the state the automaton ends in after word, or None."""
+    st = end(walk, word)
+    return None if st is None else walk[2](st)
+
+
+def per_word(walk, words):
+    return [run(walk, x) for x in words]
 
 
 def binary(n):
@@ -33,50 +52,52 @@ BINARY_N = range(1, 13)
 
 @pytest.mark.parametrize("n", BINARY_N)
 def test_vt_walk(n):
-    assert per_word(verify._vt_walk(n)) == [vt_residues(x, n) for x in binary(n)]
+    words = binary(n)
+    assert per_word(verify._vt_walk(n), words) == [vt_residues(x, n) for x in words]
 
 
 @pytest.mark.parametrize("n", BINARY_N)
 def test_psi_walk_levenshtein(n):
-    ids, states = verify._psi_walk(n, 2 * n)
-    got = per_word((ids, verify._levenshtein_keys(n, states)))
-    assert got == [levenshtein_residues(x, n) for x in binary(n)]
+    words = binary(n)
+    got = per_word(verify._levenshtein_walk(n), words)
+    assert got == [levenshtein_residues(x, n) for x in words]
 
 
 @pytest.mark.parametrize("n", BINARY_N)
 # 5 to 9 are the pll_cap(n) of n <= 12: the P of c2b's other rows
 @pytest.mark.parametrize("P", [1, 2, 3, 5, 6, 7, 8, 9])
 def test_psi_walk_pbounded(n, P):
-    ids, states = verify._psi_walk(n, 2 * P)
-    got = per_word((ids, verify._pbounded_keys(n, P, states)))
-    assert got == [pbounded_residues(x, P) for x in binary(n)]
+    words = binary(n)
+    got = per_word(verify._pbounded_walk(n, P), words)
+    assert got == [pbounded_residues(x, P) for x in words]
 
 
 @pytest.mark.parametrize("n", BINARY_N)
 def test_pll_lev_walk(n):
-    got = per_word(verify._pll_lev_walk(n))
-    assert got == [pll_lev_residues(x, n) for x in binary(n)]
+    words = binary(n)
+    got = per_word(verify._pll_lev_walk(n), words)
+    assert got == [pll_lev_residues(x, n) for x in words]
 
 
 @pytest.mark.parametrize("n", BINARY_N)
 def test_period2_walk(n):
-    # the pll_lev walk drops (keys None) exactly the words whose longest
-    # period-2 run exceeds pll_cap(n)
-    got = [k is not None for k in per_word(verify._pll_lev_walk(n))]
-    assert got == [longest_period2(x) <= pll_cap(n) for x in binary(n)]
+    # the pll_lev key is None exactly on the words whose longest period-2
+    # run exceeds pll_cap(n)
+    words = binary(n)
+    got = [k is not None for k in per_word(verify._pll_lev_walk(n), words)]
+    assert got == [longest_period2(x) <= pll_cap(n) for x in words]
 
 
 @pytest.mark.parametrize("n", BINARY_N)
 def test_shared_psi_walk_c2b_rows(n):
-    # c2b takes row 1 from the pll_lev walk and its other rows from the psi
-    # walk keyed as the pbounded code with P = pll_cap(n)
+    # c2b takes row 1 from the pll_lev automaton and its other rows from
+    # the psi step keyed as the pbounded code with P = pll_cap(n)
     cap = pll_cap(n)
     words = binary(n)
-    assert per_word(verify._pll_lev_walk(n)) == [
+    assert per_word(verify._pll_lev_walk(n), words) == [
         pll_lev_residues(x, n) for x in words
     ]
-    ids, states = verify._psi_walk(n, 2 * cap)
-    assert per_word((ids, verify._pbounded_keys(n, cap, states))) == [
+    assert per_word(verify._pbounded_walk(n, cap), words) == [
         pbounded_residues(x, cap) for x in words
     ]
 
@@ -84,19 +105,72 @@ def test_shared_psi_walk_c2b_rows(n):
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 @pytest.mark.parametrize("n", range(1, 7))
 def test_tenengolts_walk(n, q):
-    got = per_word(verify._tenengolts_walk(n, q))
-    assert got == [
-        tenengolts_residues(u, n, q) for u in product(range(q), repeat=n)
-    ]
+    words = list(product(range(q), repeat=n))
+    got = per_word(verify._tenengolts_walk(n, q), words)
+    assert got == [tenengolts_residues(u, n, q) for u in words]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 @pytest.mark.parametrize("n", range(2, 9))
 def test_induced_walk(n, q):
-    # the walk skips the words that are not alternating, as the space does
-    words = list(verify._alternating_space(n, q, 1 << 20))
-    got = per_word(verify._induced_walk(n, q))
-    assert got == [induced_residues(u, n, q) for u in words]
+    # every q-ary word: the step drops exactly the words that are not
+    # alternating
+    words = list(product(range(q), repeat=n))
+    got = per_word(verify._induced_walk(n, q), words)
+    assert got == [
+        induced_residues(u, n, q) if is_alternating(u) else None for u in words
+    ]
+
+
+# (id, n, q, automaton) of every sieve family at small n
+WALKS = [
+    *[(f"vt-n{n}", n, 2, verify._vt_walk(n)) for n in (1, 5, 10)],
+    *[(f"levenshtein-n{n}", n, 2, verify._levenshtein_walk(n)) for n in (1, 5, 10)],
+    *[
+        (f"pbounded-n{n}-P{P}", n, 2, verify._pbounded_walk(n, P))
+        for n, P in ((4, 1), (9, 3), (10, 6))
+    ],
+    *[(f"pll_lev-n{n}", n, 2, verify._pll_lev_walk(n)) for n in (1, 6, 11)],
+    *[
+        (f"tenengolts-n{n}-q{q}", n, q, verify._tenengolts_walk(n, q))
+        for n, q in ((1, 3), (4, 3), (5, 4))
+    ],
+    *[
+        (f"induced-n{n}-q{q}", n, q, verify._induced_walk(n, q))
+        for n, q in ((2, 2), (5, 3), (6, 4))
+    ],
+]
+WALK_IDS = [w[0] for w in WALKS]
+
+
+def kept(counts):
+    """A Counter without the words a step drops or a key leaves out."""
+    return {k: v for k, v in counts.items() if k is not None}
+
+
+@pytest.mark.parametrize("n, q, walk", [w[1:] for w in WALKS], ids=WALK_IDS)
+def test_walk_counts_the_words_per_state_and_class(n, q, walk):
+    start, step, key = walk
+    levels = verify._walk(n, q, start, step)
+    for j, level in enumerate(levels):
+        prefixes = product(range(q), repeat=j)
+        assert level == kept(Counter(end(walk, p) for p in prefixes)), j
+    sizes = Counter()
+    for st, count in levels[-1].items():
+        sizes[key(st)] += count
+    assert sizes == kept(Counter(per_word(walk, product(range(q), repeat=n))))
+
+
+@pytest.mark.parametrize("n, q, walk", [w[1:] for w in WALKS], ids=WALK_IDS)
+def test_best_class_is_the_filtered_space(n, q, walk):
+    # the largest class, ties to the smallest key, built in product order
+    words = list(product(range(q), repeat=n))
+    keys = per_word(walk, words)
+    sizes = kept(Counter(keys))
+    best = min(sizes, key=lambda k: (-sizes[k], k))
+    assert verify._best_class(n, q, walk) == (
+        best, [x for x, k in zip(words, keys) if k == best]
+    )
 
 
 BUDGET_CASES = [
