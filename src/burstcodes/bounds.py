@@ -54,36 +54,6 @@ def perm_bound(n: int, t: int) -> BoundReport:
     return BoundReport(n=n, q=0, t=t, value=value, tag="perm")
 
 
-# formula redundancy per family, as reported in the comparison tables
-_FORMULAS = {
-    "vt": ("1", "log(n+1)"),
-    "levenshtein": ("<=2", "log n + 1"),
-    "tenengolts": ("1", "log n + log q"),
-    "induced": ("induced", "log n + 2 log q + 1"),
-    "c2b": ("<=2", "log n + log q (log log n + O(1)) + 3"),
-    "ctb": ("<=t", "log n + O(log q log log n)"),
-    "perm": ("<=t", "log n + O(log log n)"),
-}
-
-
-def redundancy_table(families, ns, q: int = 2, t: int = 2, measure=None):
-    """Rows: (family, burst, formula, then one measured-redundancy column
-    per n where a sieve callback is provided, else blank)."""
-    rows = [["family", "burst", "formula"] + [f"n={n}" for n in ns]]
-    for fam in families:
-        burst, formula = _FORMULAS.get(fam, ("?", "?"))
-        row = [fam, burst, formula]
-        for n in ns:
-            cell = ""
-            if measure is not None:
-                got = measure(fam, n, q, t)
-                if got is not None:
-                    cell = f"{got:.3f}"
-            row.append(cell)
-        rows.append(row)
-    return rows
-
-
 def measured_redundancy(ambient_size: int, book_size: int) -> float:
     """log2(ambient / codebook size)."""
     if book_size < 1:

@@ -2,7 +2,8 @@
 
 Sequences are passed as comma-separated decimals; plain 0/1 strings are
 accepted as shorthand for binary.  Exit codes: 0 success, 1 operational
-failure (not decodable, verification witness), 2 usage error.
+failure (not decodable, verification witness, a sieve that finds no
+word), 2 usage error.
 """
 from __future__ import annotations
 
@@ -88,11 +89,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_sieve(args) -> int:
-    extra = {}
-    if args.delta is not None:
-        extra["delta"] = args.delta
-    if args.P is not None:
-        extra["P"] = args.P
+    extra = {k: v for k in ("delta", "P") if (v := getattr(args, k)) is not None}
     book = verify.sieve(
         args.family,
         args.n,
@@ -146,9 +143,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_table(args) -> int:
-    families = [verify.get_family(f).name for f in args.families.split(",")]
     ns = [int(x) for x in args.ns.split(",")]
-    rows = bounds.redundancy_table(families, ns, q=args.q, t=args.t)
+    rows = verify.redundancy_table(args.families.split(","), ns, q=args.q)
     with open(args.out, "w", newline="") as fh:
         fh.write(f"# schema_version: {verify.SCHEMA_VERSION}\n")
         writer = csv.writer(fh)
@@ -217,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--ns", default="16,32,64")
     p.add_argument("--q", type=int, default=2)
-    p.add_argument("--t", type=int, default=2)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_table)
 
@@ -234,6 +229,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except NotDecodableError as exc:
         print(f"not decodable: {exc}", file=sys.stderr)
+        return FAILURE
+    except verify.EmptyBookError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return FAILURE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

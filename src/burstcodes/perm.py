@@ -9,6 +9,7 @@ from math import factorial
 
 from .seqcore import Interval, NotDecodableError, burst_starts
 from .tburst import (
+    SUMS_SHAPE,
     DensityParams,
     QaryBlockLabeler,
     block_syndromes,
@@ -16,6 +17,7 @@ from .tburst import (
     loc_residues,
     locate_burst,
     oracle_build_brute,
+    shape,
 )
 
 
@@ -155,6 +157,8 @@ class PermCodeParams:
                 "require P >= min(n - t, delta + 2t - 1) so the ranking "
                 "window fits a block"
             )
+        if shape(self.sums) != SUMS_SHAPE:
+            raise ValueError("require sums ((d1, e1), (d2, e2))")
 
     @property
     def density(self) -> DensityParams:

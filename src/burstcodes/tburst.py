@@ -613,6 +613,16 @@ def block_syndromes(x: tuple, P: int, labeler) -> tuple:
     return tuple(sums)
 
 
+SUMS_SHAPE = ((0, 0), (0, 0))  # the shape of block_syndromes ((d1, e1), (d2, e2))
+
+
+def shape(v):
+    """v with each int as 0 and any other non-tuple as its type name."""
+    if isinstance(v, tuple):
+        return tuple(map(shape, v))
+    return 0 if type(v) is int else type(v).__name__
+
+
 def _edit_candidates(zlen, rel_lo, rel_hi, tprime, t):
     """Slots of the inverse substring edits: re-insert a replaced substring
     of length l1 = l2 + tprime (l1 <= 2t) inside the window."""
@@ -720,6 +730,8 @@ class CtbParams:
             raise ValueError(
                 "require delta + t - 1 <= P so located windows fit a block"
             )
+        if shape(self.row_sums) != (SUMS_SHAPE,) * matrix_rows(self.q):
+            raise ValueError("require one ((d1, e1), (d2, e2)) per matrix row")
 
     @property
     def density(self) -> DensityParams:
@@ -736,8 +748,6 @@ def ctb_member(u: tuple, params: CtbParams, labeler: BlockLabeler) -> bool:
         return False
     check_symbols(u, params.q)
     rows = to_matrix(u, params.q)
-    if len(rows) != len(params.row_sums):
-        return False
     if not loc_member(rows[0], params.c0, params.c1, params.density):
         return False
     return all(

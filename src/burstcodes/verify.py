@@ -1,22 +1,21 @@
-"""Ground-truth machinery: the code-family registry, codebook sieving,
-confusability checking, exact maximum-code computation, and round-trip
-sweeps.
+"""Ground-truth machinery: the code-family registry, codebook sieving, the
+redundancy comparison table, confusability checking, exact maximum-code
+computation, and round-trip sweeps.
 
-Each code family is one `Family` record in `FAMILIES`, which holds its
-sieve, its decoder factory, its channel, whether decoding needs the burst
-window, and the sieve options it requires.  `sieve`, `book_decoder`,
-`roundtrip_sweep` and the CLI all read the registry.
+Each code family is declared once, as one `Family` record in `FAMILIES`,
+which `sieve`, `book_decoder`, `roundtrip_sweep`, `redundancy_table` and
+the CLI all read.
 
 A sieve keeps the largest residue class of an ambient space, ties to the
-lexicographically smallest residue tuple.  The families whose residues
-follow from neighbouring symbols (vt, tenengolts, levenshtein, induced,
-pbounded and pll_lev) each have one prefix automaton whose states carry the
-partial residues, whose step drops the prefixes outside the space, and
-whose final state alone gives a word's residue key.  Counting the words per
-state, level by level, gives every class size without listing the space;
-only the words of the winning class are built, along the states from which
-it can be reached.  c2b takes its rows from the pll_lev and pbounded
-sieves.  The tests hold every automaton to the residue map of `classic` or
+lexicographically smallest residue tuple.  The walk families (vt,
+tenengolts, levenshtein, induced, pbounded and pll_lev) each have one
+prefix automaton whose states carry the partial residues, whose step drops
+the prefixes outside the space, and whose final state alone gives a word's
+residue key.  Counting the words per state, level by level, gives every
+class size without listing the space: the table needs no more, and a sieve
+builds only the words of the winning class, along the states from which it
+can be reached.  c2b takes its rows from the pll_lev and pbounded sieves.
+The tests hold every automaton to the residue map of `classic` or
 `pll2burst` on every word of its space.  loc, ctb and perm group the words
 of their space (or, beyond the budget, of a structured random sample,
 flagged as sampled) by residue tuple.
@@ -26,8 +25,8 @@ from __future__ import annotations
 import json
 import random
 import sys
-from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from collections import Counter, defaultdict, deque
+from dataclasses import asdict, dataclass, field
 from itertools import islice, permutations, product
 from math import factorial, prod
 from typing import Callable, Iterable, Optional
@@ -49,6 +48,10 @@ DEFAULT_BUDGET = 1 << 24
 SAMPLES = 3000  # pool size of a sampled sieve
 
 
+class EmptyBookError(Exception):
+    """A sieve with valid options found no word: a failure, not misuse."""
+
+
 @dataclass(frozen=True)
 class CodeSpec:
     family: str
@@ -67,23 +70,9 @@ class Codebook:
     full_size: Optional[int] = None
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "spec": {
-                    "family": self.spec.family,
-                    "n": self.spec.n,
-                    "q": self.spec.q,
-                    "t": self.spec.t,
-                    "params": self.spec.params,
-                },
-                "words": [list(w) for w in self.words],
-                "redundancy_bits": self.redundancy_bits,
-                "sampled": self.sampled,
-                "full_size": self.full_size,
-            },
-            indent=1,
-        )
+        spec = asdict(self.spec)
+        raw = {"schema_version": SCHEMA_VERSION, **vars(self), "spec": spec}
+        return json.dumps(raw, indent=1)
 
     @staticmethod
     def from_json(text: str) -> "Codebook":
@@ -180,22 +169,32 @@ def _book(family, n, q, t, params, words, ambient, sampled=False, full=None):
     )
 
 
-def _walk(n: int, q: int, start, step: Callable) -> list:
+def _walk(n: int, q: int, start, step: Callable) -> Iterable[dict]:
     """Count the words of length n over range(q) per state of a prefix
-    automaton: levels[j] maps each state reached after j symbols to the
-    number of prefixes that reach it.  step(state, s, j) is the state after
-    symbol s at 1-based position j, or None when the space holds no word
-    with that prefix.  A level holds few states, each stepped once per
-    symbol, whatever the size of the space."""
-    levels = [{start: 1}]
+    automaton: yield, for j = 0..n, the level that maps each state reached
+    after j symbols to the number of prefixes that reach it.  step(state,
+    s, j) is the state after symbol s at 1-based position j, or None when
+    the space holds no word with that prefix.  A level holds few states,
+    each stepped once per symbol, whatever the size of the space."""
+    level = {start: 1}
+    yield level
     for j in range(1, n + 1):
-        level = defaultdict(int)
-        for st, count in levels[-1].items():
+        prev, level = level, defaultdict(int)
+        for st, count in prev.items():
             for s in range(q):
                 if (nxt := step(st, s, j)) is not None:
                     level[nxt] += count
-        levels.append(level)
-    return levels
+        yield level
+
+
+def _largest_class(last: dict, key: Callable) -> tuple:
+    """The key and size of the largest class (see _largest) of the words
+    that end in the states of last, the last level of _walk."""
+    sizes = Counter()
+    for st, count in last.items():
+        sizes[key(st)] += count
+    best = _largest(sizes)
+    return best, sizes[best]
 
 
 def _best_class(n: int, q: int, walk: tuple) -> tuple:
@@ -205,13 +204,10 @@ def _best_class(n: int, q: int, walk: tuple) -> tuple:
     of the words that end in state.  The class sizes come from the last
     level of _walk, and only the winning words are built: going backward,
     each level keeps the moves of the states from which a winning final
-    state can be reached, and the prefixes follow them."""
+    state can be reached, and the prefixes follow them, level by level."""
     start, step, key = walk
-    levels = _walk(n, q, start, step)
-    sizes = Counter()
-    for st, count in levels[-1].items():
-        sizes[key(st)] += count
-    best = _largest(sizes)
+    levels = list(_walk(n, q, start, step))
+    best, _ = _largest_class(levels[-1], key)
     live = {st for st in levels.pop() if key(st) == best}
     moves = []  # moves[j][state]: (symbol, next state) of the live states
     for j in range(n, 0, -1):
@@ -222,29 +218,29 @@ def _best_class(n: int, q: int, walk: tuple) -> tuple:
                 kids[st] = nxt
         moves.append(kids)
         live = kids
-    moves.reverse()
-    return best, _extend((), start, moves, [])
+    prefixes = [((), start)]
+    for kids in reversed(moves):
+        prefixes = [(p + (s,), x) for p, st in prefixes for s, x in kids[st]]
+    return best, [p for p, _ in prefixes]
 
 
-def _extend(prefix: tuple, st, moves: list, words: list) -> list:
-    """Append to words, in the order of `product`, the extensions of prefix
-    (in state st) along moves to the last level; return words."""
-    if len(prefix) == len(moves):
-        words.append(prefix)
-    else:
-        for s, nxt in moves[len(prefix)][st]:
-            _extend(prefix + (s,), nxt, moves, words)
-    return words
-
-
-def _class_book(family, n, q, t, walk, names, ambient, budget, **fixed):
-    """Sieve of a family whose `ambient` words are those of the automaton
-    `walk`: the residues of _best_class are the params `names` after `fixed`."""
+def _walk_sieve(fam: "Family", n: int, q: int, budget: int, **options) -> Codebook:
+    """Sieve of a walk family: the largest class of its automaton, whose
+    residues are the params fam.residues after the options it requires."""
+    walk, q, ambient = fam.automaton(n, q, **options)
     if ambient > budget:
         raise ValueError(f"ambient space of size {ambient} exceeds budget {budget}")
     best, words = _best_class(n, q, walk)
-    params = {**fixed, **dict(zip(names, best))}
-    return _book(family, n, q, t, params, words, ambient)
+    params = {**options, **dict(zip(fam.residues, best))}
+    return _book(fam.name, n, q, fam.t, params, words, ambient)
+
+
+def _largest_count(fam: "Family", n: int, q: int, **options) -> tuple:
+    """(ambient size, size of the largest class) of a walk family, counted
+    by its automaton one level at a time, with no word built."""
+    (start, step, key), q, ambient = fam.automaton(n, q, **options)
+    last = deque(_walk(n, q, start, step), maxlen=1)[0]
+    return ambient, _largest_class(last, key)[1]
 
 
 # automata (start, step, key): per family, the prefix automaton whose final
@@ -318,6 +314,8 @@ def _induced_walk(n: int, q: int) -> tuple:
     q) of the alternating words; the step drops every other prefix.  The
     interleaved phi image is y_1 = y_2 = 1 and y_j = [u_j > u_{j-2}], so
     position j adds (j - 1) * (y_{j-1} ^ y_j), and the key adds n * y_n."""
+    if n < 2:
+        raise ValueError("induced requires n >= 2")
     m = 2 * n
 
     def step(st, s, j):
@@ -337,70 +335,55 @@ def _induced_walk(n: int, q: int) -> tuple:
     return (-1, -1, 1, 0, 0, 0), step, key
 
 
-def _sieve_vt(n, budget, **_):
-    return _class_book("vt", n, 2, 1, _vt_walk(n), ("a",), 2**n, budget)
-
-
-def _sieve_tenengolts(n, q, budget, **_):
-    walk = _tenengolts_walk(n, q)
-    return _class_book("tenengolts", n, q, 1, walk, ("a", "b"), q**n, budget)
-
-
-def _sieve_levenshtein(n, budget, **_):
-    walk = _levenshtein_walk(n)
-    return _class_book("levenshtein", n, 2, 2, walk, ("a",), 2**n, budget)
-
-
-def _sieve_induced(n, q, budget, **_):
-    if n < 2:
-        raise ValueError("induced requires n >= 2")
-    walk, size = _induced_walk(n, q), q * (q - 1) ** (n - 1)
-    return _class_book("induced", n, q, 2, walk, ("a", "b", "c"), size, budget)
-
-
-def _sieve_pbounded(n, budget, P, **_):
-    walk = _pbounded_walk(n, P)
-    return _class_book("pbounded", n, 2, 2, walk, ("c", "d"), 2**n, budget, P=P)
-
-
-def _sieve_pll_lev(n, budget, **_):
-    return _class_book("pll_lev", n, 2, 2, _pll_lev_walk(n), ("a",), 2**n, budget)
-
-
 def _row_product(rows: list, n: int, q: int, max_words: int) -> tuple:
     """(words, full size) of the book whose bit-matrix row r is taken from
     the book rows[r]: the first max_words words of the row product, in
     product order, less those with a symbol >= q.  The full size is the
     size of the row product, or None when q is not a power of two and the
-    product overcounts."""
+    product overcounts.  EmptyBookError when no word is left."""
     words = (
         tuple(sum(bits[j] << r for r, bits in enumerate(combo)) for j in range(n))
         for combo in islice(product(*rows), max_words)
     )
-    full = prod(map(len, rows)) if q & (q - 1) == 0 else None
-    return [u for u in words if max(u) < q], full
+    words = [u for u in words if max(u) < q]
+    if not words:
+        raise EmptyBookError(
+            f"empty row product: no word has every symbol below q = {q}"
+        )
+    return words, prod(map(len, rows)) if q & (q - 1) == 0 else None
+
+
+def _c2b_rows(n: int, q: int, row: Callable) -> list:
+    """row(family, n, 2, **options) of each row of c2b's bit matrix: row 1
+    over the period-limited two-deletion code (pll_lev), the others over
+    the window-bounded code (pbounded) with P = pll_cap(n)."""
+    if q % 2 != 0:
+        raise ValueError("c2b requires q even")
+    rows = [row(FAMILIES["pll_lev"], n, 2)]
+    if q > 2:
+        other = row(FAMILIES["pbounded"], n, 2, P=pll2burst.pll_cap(n))
+        rows += [other] * (matrix_rows(q) - 1)
+    return rows
 
 
 def _sieve_c2b(n, q, budget, max_words, **_) -> Codebook:
-    """Row-separable sieve: row 1 over the period-limited two-deletion code,
-    remaining rows over the window-bounded code; the codebook is the product
-    of the row books (materialized up to max_words)."""
-    if q % 2 != 0:
-        raise ValueError("c2b requires q even")
-    row1 = _sieve_pll_lev(n, budget)
-    nrows = matrix_rows(q)
-    others = []
-    if nrows > 1:
-        others = [_sieve_pbounded(n, budget, P=pll2burst.pll_cap(n))] * (nrows - 1)
+    """Row-separable sieve: the product of the row books (materialized up
+    to max_words)."""
+    books = _c2b_rows(n, q, lambda fam, n, q, **o: _walk_sieve(fam, n, q, budget, **o))
     params = {
-        "a": row1.spec.params["a"],
-        "rows": tuple(
-            (bk.spec.params["c"], bk.spec.params["d"]) for bk in others
-        ),
+        "a": books[0].spec.params["a"],
+        "rows": tuple((bk.spec.params["c"], bk.spec.params["d"]) for bk in books[1:]),
     }
-    rows = [bk.words for bk in (row1, *others)]
-    words, full = _row_product(rows, n, q, max_words)
+    words, full = _row_product([bk.words for bk in books], n, q, max_words)
     return _book("c2b", n, q, 2, params, words, q**n, full=full)
+
+
+def _c2b_count(n: int, q: int) -> Optional[tuple]:
+    """(ambient size, size) of the c2b row product of the counted classes;
+    None unless q is a power of two, so that no product word is >= q."""
+    if q & (q - 1):
+        return None
+    return q**n, prod(size for _, size in _c2b_rows(n, q, _largest_count))
 
 
 def _dense_sample(n: int, dp: tburst.DensityParams, rng, count: int) -> list:
@@ -446,17 +429,15 @@ def _sieve_ctb(n, q, t, delta, P, budget, seed, max_words, **_):
     """Row-separable sieve with sampled row pools when 2^n is out of budget;
     parameters are the residues of the best (most frequent) tuple."""
     # CtbParams refuses what the decoder would, before any oracle is built
-    dummy = tburst.CtbParams(n, q, t, delta, P, 0, 0, ())
+    sums = (tburst.SUMS_SHAPE,) * matrix_rows(q)
+    dummy = tburst.CtbParams(n, q, t, delta, P, 0, 0, sums)
     dp, labeler = dummy.density, tburst.BlockLabeler(tburst.ctb_oracles(dummy))
     rng = random.Random(seed)
     sampled = 2**n > budget
     if sampled:
         row1_pool = _dense_sample(n, dp, rng, SAMPLES)
         plain_pool = sorted(
-            {
-                tuple(rng.randint(0, 1) for _ in range(n))
-                for _ in range(SAMPLES)
-            }
+            {tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(SAMPLES)}
         )
     else:
         row1_pool = plain_pool = list(_qary_space(n, 2, budget))
@@ -477,25 +458,15 @@ def _sieve_ctb(n, q, t, delta, P, budget, seed, max_words, **_):
         )
         rows += [words] * (nrows - 1)
         row_sums += [sums] * (nrows - 1)
-    params = {
-        "delta": delta,
-        "P": P,
-        "c0": c0,
-        "c1": c1,
-        "row_sums": tuple(row_sums),
-    }
+    params = {"delta": delta, "P": P, "c0": c0, "c1": c1, "row_sums": tuple(row_sums)}
     words, full = _row_product(rows, n, q, max_words)
-    return _book(
-        "ctb", n, q, t, params, words, q**n, sampled=sampled, full=full
-    )
+    return _book("ctb", n, q, t, params, words, q**n, sampled=sampled, full=full)
 
 
 def _sieve_perm(n, t, delta, P, budget, **_) -> Codebook:
     space = _perm_space(n, budget)
     dp = tburst.DensityParams(n, t, delta)
-    dummy = perm_mod.PermCodeParams(
-        n, t, delta, P, 0, 0, (((0, 0), (0, 0)))
-    )
+    dummy = perm_mod.PermCodeParams(n, t, delta, P, 0, 0, tburst.SUMS_SHAPE)
     labeler = perm_mod.perm_labeler(dummy)
 
     # the residues depend on pi only through its half indicator and its
@@ -573,27 +544,28 @@ def _perm_decoder(spec):
     return lambda w, rx, burst: perm_mod.pleqt_decode(rx, params, labeler)
 
 
-_SUMS = ((0, 0), (0, 0))  # shape of block-label sums ((d1, e1), (d2, e2))
-
-
-def _shape(v):
-    """A params value with each integer written as 0."""
-    if isinstance(v, tuple):
-        return tuple(map(_shape, v))
-    return 0 if type(v) is int else type(v).__name__
-
-
 @dataclass(frozen=True)
 class Family:
-    """One code family: its sieve, its decoder factory, and its channel."""
+    """One code family: how it is sieved and counted, its decoder, its
+    channel, and its row of the comparison table.  A walk family holds its
+    automaton, any other family its sieve and the shape of its params."""
 
     name: str
-    # (n, q, t, budget, max_words, seed, **options) -> Codebook
-    sieve: Callable[..., Codebook]
     # spec -> decoder(codeword, received, burst); None: no decoder
     decoder: Optional[Callable[[CodeSpec], Callable]]
-    # spec -> the _shape of the params the decoder factory takes
+    # (n, q, **options) -> (automaton (start, step, key), alphabet size,
+    # ambient size); the params `residues` name the key, t is the books' t
+    automaton: Optional[Callable[..., tuple]] = None
+    residues: tuple = ()
+    t: int = 1
+    # (n, q, t, budget, max_words, seed, **options) -> Codebook
+    sieve: Optional[Callable[..., Codebook]] = None
+    # spec -> the tburst.shape of the params the decoder factory takes
     params: Optional[Callable[[CodeSpec], dict]] = None
+    # (n, q) -> (ambient size, largest class size) or None
+    count: Optional[Callable[[int, int], Optional[tuple]]] = None
+    # (burst, formula redundancy) of the comparison table
+    formula: tuple = ("?", "?")
     # "burst": a burst of deletions; "induced": a substring aba becomes a
     channel: str = "burst"
     # decoding needs the burst window as side information
@@ -601,45 +573,67 @@ class Family:
     # sieve options beyond n, q and t
     requires: tuple = ()
 
+    def largest_class(self, n: int, q: int) -> Optional[tuple]:
+        """(ambient size, largest class size), counted; None if uncounted."""
+        if self.count is not None:
+            return self.count(n, q)
+        if self.automaton is None or self.requires:
+            return None
+        return _largest_count(self, n, q)
+
 
 FAMILIES = {
     fam.name: fam
     for fam in (
-        Family("vt", _sieve_vt, _vt_decoder, lambda s: {"a": 0}),
         Family(
-            "tenengolts", _sieve_tenengolts, _tenengolts_decoder,
-            lambda s: {"a": 0, "b": 0},
+            "vt", _vt_decoder, lambda n, q: (_vt_walk(n), 2, 2**n), ("a",),
+            formula=("1", "log(n+1)"),
         ),
         Family(
-            "levenshtein", _sieve_levenshtein, _levenshtein_decoder,
-            lambda s: {"a": 0},
+            "tenengolts", _tenengolts_decoder,
+            lambda n, q: (_tenengolts_walk(n, q), q, q**n), ("a", "b"),
+            formula=("1", "log n + log q"),
         ),
         Family(
-            "induced", _sieve_induced, _induced_decoder,
-            lambda s: {"a": 0, "b": 0, "c": 0}, channel="induced",
+            "levenshtein", _levenshtein_decoder,
+            lambda n, q: (_levenshtein_walk(n), 2, 2**n), ("a",), t=2,
+            formula=("<=2", "log n + 1"),
         ),
         Family(
-            "pbounded", _sieve_pbounded, _pbounded_decoder,
-            lambda s: {"P": 0, "c": 0, "d": 0}, needs_window=True, requires=("P",),
-        ),
-        Family("pll_lev", _sieve_pll_lev, _levenshtein_decoder, lambda s: {"a": 0}),
-        Family("loc", _sieve_loc, None, requires=("delta",)),
-        Family(
-            "c2b", _sieve_c2b, _c2b_decoder,
-            lambda s: {"a": 0, "rows": ((0, 0),) * (matrix_rows(s.q) - 1)},
+            "induced", _induced_decoder,
+            lambda n, q: (_induced_walk(n, q), q, q * (q - 1) ** (n - 1)),
+            ("a", "b", "c"), t=2, formula=("induced", "log n + 2 log q + 1"),
+            channel="induced",
         ),
         Family(
-            "ctb", _sieve_ctb, _ctb_decoder,
-            lambda s: {
+            "pbounded", _pbounded_decoder,
+            lambda n, q, P: (_pbounded_walk(n, P), 2, 2**n), ("c", "d"), t=2,
+            needs_window=True, requires=("P",),
+        ),
+        Family(
+            "pll_lev", _levenshtein_decoder,
+            lambda n, q: (_pll_lev_walk(n), 2, 2**n), ("a",), t=2,
+        ),
+        Family("loc", None, sieve=_sieve_loc, requires=("delta",)),
+        Family(
+            "c2b", _c2b_decoder, sieve=_sieve_c2b, count=_c2b_count,
+            params=lambda s: {"a": 0, "rows": ((0, 0),) * (matrix_rows(s.q) - 1)},
+            formula=("<=2", "log n + log q (log log n + O(1)) + 3"),
+        ),
+        Family(
+            "ctb", _ctb_decoder, sieve=_sieve_ctb,
+            params=lambda s: {
                 "delta": 0, "P": 0, "c0": 0, "c1": 0,
-                "row_sums": (_SUMS,) * matrix_rows(s.q),
+                "row_sums": (tburst.SUMS_SHAPE,) * matrix_rows(s.q),
             },
-            requires=("delta", "P"),
+            formula=("<=t", "log n + O(log q log log n)"), requires=("delta", "P"),
         ),
         Family(
-            "perm", _sieve_perm, _perm_decoder,
-            lambda s: {"delta": 0, "P": 0, "c0": 0, "c1": 0, "sums": _SUMS},
-            requires=("delta", "P"),
+            "perm", _perm_decoder, sieve=_sieve_perm,
+            params=lambda s: {
+                "delta": 0, "P": 0, "c0": 0, "c1": 0, "sums": tburst.SUMS_SHAPE
+            },
+            formula=("<=t", "log n + O(log log n)"), requires=("delta", "P"),
         ),
     )
 }
@@ -673,26 +667,49 @@ def sieve(
     for opt, value, low in lows:
         if value < low:
             raise ValueError(f"sieve requires {opt} >= {low}, not {value}")
+    if fam.sieve is None:
+        return _walk_sieve(fam, n, q, budget, **{k: extra[k] for k in fam.requires})
     return fam.sieve(
         n=n, q=q, t=t, budget=budget, max_words=max_words, seed=seed, **extra
     )
+
+
+def redundancy_table(families: Iterable[str], ns: list, q: int = 2) -> list:
+    """Rows: (family, burst, formula, then per n the exact redundancy
+    log2(ambient / largest class) that the family's automata count, or
+    blank where it counts none)."""
+    if q < 2 or min(ns, default=1) < 1:
+        raise ValueError("table requires q >= 2 and every n >= 1")
+    rows = [["family", "burst", "formula"] + [f"n={n}" for n in ns]]
+    for name in families:
+        fam = get_family(name)
+        row = [fam.name, *fam.formula]
+        for n in ns:
+            got = fam.largest_class(n, q)
+            row.append("" if got is None else f"{measured_redundancy(*got):.3f}")
+        rows.append(row)
+    return rows
 
 
 def book_decoder(book: Codebook) -> Callable[[tuple, tuple, Burst], tuple]:
     """Decoder closure for a sieved codebook, from its family's record;
     ValueError when the book's params are not named and shaped as the
     family's decoder takes them."""
-    fam = get_family(book.spec.family)
+    spec = book.spec
+    fam = get_family(spec.family)
     if fam.decoder is None:
         raise ValueError(f"no decoder for family {fam.name!r}")
-    want = fam.params(book.spec)
-    got = {k: _shape(v) for k, v in book.spec.params.items()}
+    # a walk family's params are its required options and its residues
+    want = fam.params(spec) if fam.params else {
+        k: 0 for k in fam.requires + fam.residues
+    }
+    got = {k: tburst.shape(v) for k, v in spec.params.items()}
     if got != want:
         raise ValueError(
             f"{fam.name} book params must have the shape {want} (0 for an "
             f"integer), not {got}"
         )
-    return fam.decoder(book.spec)
+    return fam.decoder(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ from burstcodes.bounds import (
     lp_bound_direct,
     measured_redundancy,
     perm_bound,
-    redundancy_table,
 )
 from burstcodes.seqcore import deletion_ball
+from burstcodes.verify import redundancy_table, sieve
 
 
 class TestBallCount:
@@ -89,18 +89,15 @@ class TestTable:
         assert len(rows) == 3
         assert all(len(r) == 5 for r in rows)
 
-    def test_measure_callback(self):
-        from burstcodes import verify
-
-        def measure(fam, n, q, t):
-            if fam != "vt":
-                return None
-            book = verify.sieve("vt", n)
-            return book.redundancy_bits
-
-        rows = redundancy_table(["vt", "perm"], [8], measure=measure)
-        assert float(rows[1][3]) > 0  # vt measured
-        assert rows[2][3] == ""  # perm left blank
+    def test_computed_cells(self):
+        # a walk family's cell is the redundancy of its exhaustive book;
+        # perm counts no class, and pbounded needs a P the table lacks
+        rows = redundancy_table(["vt", "levenshtein", "perm", "pbounded"], [8, 10])
+        for row, family in zip(rows[1:3], ("vt", "levenshtein")):
+            assert row[3:] == [
+                f"{sieve(family, n).redundancy_bits:.3f}" for n in (8, 10)
+            ]
+        assert rows[3][3:] == rows[4][3:] == ["", ""]
 
     def test_measured_redundancy(self):
         assert measured_redundancy(256, 16) == pytest.approx(4.0)

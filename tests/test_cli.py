@@ -278,6 +278,23 @@ class TestSieveVerifyDecode:
         assert want in err
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize(
+        "n, want", [(4, FAILURE), (5, FAILURE), (6, FAILURE), (7, 0)]
+    )
+    def test_sieve_c2b_empty_row_product_is_failure(
+        self, tmp_path, capsys, n, want
+    ):
+        # below n = 7 every word of the q = 6 row product has a symbol >= 6:
+        # valid options, so a failure and not a usage error
+        out = tmp_path / "x.json"
+        code, _, err = run(
+            capsys, "sieve", "--family", "c2b", "--q", "6", "--n", str(n),
+            "--out", str(out),
+        )
+        assert code == want
+        assert out.exists() == (want == 0)
+        assert want == 0 or "empty row product" in err
+
     def test_undecodable_returns_failure(self, tmp_path, capsys):
         book = tmp_path / "book.json"
         run(
@@ -395,6 +412,35 @@ class TestTable:
         rows = list(csv.reader(lines[1:]))
         assert rows[0] == ["family", "burst", "formula", "n=16", "n=32"]
         assert len(rows) == 3
+
+    def cells(self, tmp_path, capsys, *argv):
+        out_path = tmp_path / "table.csv"
+        code, _, _ = run(capsys, "table", *argv, "--out", str(out_path))
+        assert code == 0
+        rows = list(csv.reader(out_path.read_text().splitlines()[1:]))
+        return {r[0]: r[3:] for r in rows[1:]}
+
+    def test_default_cells_pinned(self, tmp_path, capsys):
+        # the exact redundancy log2(ambient / largest class) at n = 64; the
+        # ctb and perm classes are not counted
+        cells = self.cells(tmp_path, capsys)
+        assert list(cells) == [
+            "vt", "levenshtein", "tenengolts", "induced", "c2b", "ctb", "perm",
+        ]
+        pinned = ("vt", "levenshtein", "tenengolts", "c2b")
+        assert [cells[f][2] for f in pinned] == ["6.022", "7.000", "7.000", "7.038"]
+        for family in (*pinned, "induced"):
+            assert "" not in cells[family], family
+        assert cells["ctb"] == cells["perm"] == ["", "", ""]
+
+    def test_qary_cells_pinned(self, tmp_path, capsys):
+        cells = self.cells(
+            tmp_path, capsys, "--q", "4", "--ns", "32",
+            "--families", "tenengolts,induced,c2b",
+        )
+        assert cells == {
+            "tenengolts": ["7.000"], "induced": ["9.999"], "c2b": ["11.940"],
+        }
 
     def test_unknown_family_is_usage_error(self, tmp_path, capsys):
         out_path = tmp_path / "table.csv"

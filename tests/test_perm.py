@@ -140,3 +140,12 @@ class TestPermPipeline:
     def test_window_constraint_enforced(self):
         with pytest.raises(ValueError):
             PermCodeParams(20, 2, 40, 6, 0, 0, ((0, 0), (0, 0)))
+
+    @pytest.mark.parametrize(
+        "sums", [(), (((0, 0), (0, 0)),)], ids=["none", "nested"]
+    )
+    def test_malformed_sums_refused(self, sums):
+        # they used to reach pleqt_decode, which raised IndexError on ()
+        # and TypeError on the nested sums
+        with pytest.raises(ValueError, match="require sums"):
+            PermCodeParams(6, 1, 4, 5, 0, 0, sums)

@@ -1,8 +1,9 @@
 """Tests for the prefix automata that sieve the exhaustive residue
 families: every automaton against the residue map it stands for, on every
 word of its space, the class sizes counted per state and the class built
-from them against the per-word keys, the budget errors, and books of
-benchmark size pinned byte for byte."""
+from them against the per-word keys, the largest-class counts that the
+redundancy table reads against the sieved books, the budget errors, and
+books of benchmark size pinned byte for byte."""
 import hashlib
 from collections import Counter
 from itertools import product
@@ -10,6 +11,7 @@ from itertools import product
 import pytest
 
 from burstcodes import verify
+from burstcodes.bounds import measured_redundancy
 from burstcodes.classic import (
     induced_residues,
     is_alternating,
@@ -122,25 +124,30 @@ def test_induced_walk(n, q):
     ]
 
 
-# (id, n, q, automaton) of every sieve family at small n
-WALKS = [
-    *[(f"vt-n{n}", n, 2, verify._vt_walk(n)) for n in (1, 5, 10)],
-    *[(f"levenshtein-n{n}", n, 2, verify._levenshtein_walk(n)) for n in (1, 5, 10)],
+# (id, family, n, q, options) of every walk family at small n
+GRID = [
+    *[(f"vt-n{n}", "vt", n, 2, {}) for n in (1, 5, 10)],
+    *[(f"levenshtein-n{n}", "levenshtein", n, 2, {}) for n in (1, 5, 10)],
     *[
-        (f"pbounded-n{n}-P{P}", n, 2, verify._pbounded_walk(n, P))
+        (f"pbounded-n{n}-P{P}", "pbounded", n, 2, {"P": P})
         for n, P in ((4, 1), (9, 3), (10, 6))
     ],
-    *[(f"pll_lev-n{n}", n, 2, verify._pll_lev_walk(n)) for n in (1, 6, 11)],
+    *[(f"pll_lev-n{n}", "pll_lev", n, 2, {}) for n in (1, 6, 11)],
     *[
-        (f"tenengolts-n{n}-q{q}", n, q, verify._tenengolts_walk(n, q))
+        (f"tenengolts-n{n}-q{q}", "tenengolts", n, q, {})
         for n, q in ((1, 3), (4, 3), (5, 4))
     ],
     *[
-        (f"induced-n{n}-q{q}", n, q, verify._induced_walk(n, q))
+        (f"induced-n{n}-q{q}", "induced", n, q, {})
         for n, q in ((2, 2), (5, 3), (6, 4))
     ],
 ]
-WALK_IDS = [w[0] for w in WALKS]
+WALK_IDS = [g[0] for g in GRID]
+# (n, q, automaton) of the grid, from the registry's automaton factories
+WALKS = [
+    (n, q, verify.FAMILIES[family].automaton(n, q, **options)[0])
+    for _, family, n, q, options in GRID
+]
 
 
 def kept(counts):
@@ -148,10 +155,10 @@ def kept(counts):
     return {k: v for k, v in counts.items() if k is not None}
 
 
-@pytest.mark.parametrize("n, q, walk", [w[1:] for w in WALKS], ids=WALK_IDS)
+@pytest.mark.parametrize("n, q, walk", WALKS, ids=WALK_IDS)
 def test_walk_counts_the_words_per_state_and_class(n, q, walk):
     start, step, key = walk
-    levels = verify._walk(n, q, start, step)
+    levels = list(verify._walk(n, q, start, step))
     for j, level in enumerate(levels):
         prefixes = product(range(q), repeat=j)
         assert level == kept(Counter(end(walk, p) for p in prefixes)), j
@@ -161,7 +168,7 @@ def test_walk_counts_the_words_per_state_and_class(n, q, walk):
     assert sizes == kept(Counter(per_word(walk, product(range(q), repeat=n))))
 
 
-@pytest.mark.parametrize("n, q, walk", [w[1:] for w in WALKS], ids=WALK_IDS)
+@pytest.mark.parametrize("n, q, walk", WALKS, ids=WALK_IDS)
 def test_best_class_is_the_filtered_space(n, q, walk):
     # the largest class, ties to the smallest key, built in product order
     words = list(product(range(q), repeat=n))
@@ -171,6 +178,38 @@ def test_best_class_is_the_filtered_space(n, q, walk):
     assert verify._best_class(n, q, walk) == (
         best, [x for x, k in zip(words, keys) if k == best]
     )
+
+
+# (family, n, q, options) over the grids of the per-word automaton tests
+COUNT_GRID = [
+    *[(f, n, 2, {}) for f in ("vt", "levenshtein", "pll_lev") for n in BINARY_N],
+    *[
+        ("pbounded", n, 2, {"P": P})
+        for n in BINARY_N for P in (1, 2, 3, 5, 6, 7, 8, 9)
+    ],
+    *[("tenengolts", n, q, {}) for n in range(1, 7) for q in (2, 3, 4, 5)],
+    *[("induced", n, q, {}) for n in range(2, 9) for q in (2, 3, 4, 5)],
+]
+
+
+@pytest.mark.parametrize(
+    "family, n, q, options", COUNT_GRID,
+    ids=[f"{f}-n{n}-q{q}" + "".join(f"-{k}{v}" for k, v in o.items())
+         for f, n, q, o in COUNT_GRID],
+)
+def test_counted_largest_class_is_the_book(family, n, q, options):
+    # the count the table reads, against the book the sieve builds
+    ambient, size = verify._largest_count(verify.FAMILIES[family], n, q, **options)
+    book = verify.sieve(family, n, q=q, **options)
+    assert size == len(book.words)
+    assert measured_redundancy(ambient, size) == book.redundancy_bits
+
+
+@pytest.mark.parametrize("q", [2, 4])
+@pytest.mark.parametrize("n", BINARY_N)
+def test_counted_c2b_product_is_the_book(n, q):
+    book = verify.sieve("c2b", n, q=q)
+    assert verify._c2b_count(n, q) == (q**n, book.full_size)
 
 
 BUDGET_CASES = [

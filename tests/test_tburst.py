@@ -604,5 +604,16 @@ class TestCtbPipeline:
         assert ctb_decode(u, params, labeler) == u
 
     def test_window_constraint_enforced(self):
-        with pytest.raises(ValueError):
-            CtbParams(12, 4, 2, 10, 8, 0, 0, ((0, 0), (0, 0)))
+        row_sums = (((0, 0), (0, 0)),) * 2  # well formed for q = 4
+        with pytest.raises(ValueError, match="delta"):
+            CtbParams(12, 4, 2, 10, 8, 0, 0, row_sums)
+
+    @pytest.mark.parametrize(
+        "row_sums", [(), (((0, 0), (0, 0)),), ((0, 0), (0, 0))],
+        ids=["none", "one-row", "flat"],
+    )
+    def test_malformed_row_sums_refused(self, row_sums):
+        # they used to reach ctb_decode, which raised IndexError at
+        # row_sums[i]; q = 4 has two matrix rows
+        with pytest.raises(ValueError, match="per matrix row"):
+            CtbParams(8, 4, 1, 2, 4, 0, 0, row_sums)
