@@ -31,6 +31,8 @@ def ball_count(n: int, t: int, i: int, q: int = 2) -> int:
 
 def lp_bound(n: int, t: int, q: int = 2) -> BoundReport:
     """Upper bound on a t-burst code: (q^(n-t+1) - q^t) / ((q-1)(n-2t+1))."""
+    if t < 1 or q < 2:
+        raise ValueError("requires t >= 1 and q >= 2")
     if n <= t or n % t != 0:
         raise ValueError("requires n > t and t | n")
     value = Fraction(q ** (n - t + 1) - q**t, (q - 1) * (n - 2 * t + 1))
@@ -48,8 +50,8 @@ def lp_bound_direct(n: int, t: int, q: int = 2) -> Fraction:
 
 def perm_bound(n: int, t: int) -> BoundReport:
     """Upper bound on a t-burst permutation code: n! / (t! (n-t+1))."""
-    if n <= t:
-        raise ValueError("requires n > t")
+    if not 1 <= t < n:
+        raise ValueError("requires 1 <= t < n")
     value = Fraction(factorial(n), factorial(t) * (n - t + 1))
     return BoundReport(n=n, q=0, t=t, value=value, tag="perm")
 

@@ -49,7 +49,7 @@ def cmd_encode(args) -> int:
         y = pll2burst.pll_encode(x)
     else:
         if args.delta is None:
-            args.delta = tburst.capacity_delta(len(x), args.t)
+            args.delta = tburst.default_delta(len(x), args.t)
         dp = tburst.DensityParams(len(x), args.t, args.delta)
         y = tburst.dense_encode(x, dp)
     _write_sequence(args.out, y)

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import product
-from math import ceil, log, log1p
 from operator import or_
 from typing import Callable, Optional
 
@@ -36,6 +36,8 @@ from .seqcore import (
 def default_delta(n: int, t: int, perm: bool = False) -> int:
     """Window length delta: t * 2^(2t+1) * ceil(log n), one power of two more
     for the permutation variant."""
+    if t < 1:
+        raise ValueError("t must be at least 1")
     return t * (1 << (2 * t + (2 if perm else 1))) * ceil_log2(n)
 
 
@@ -183,86 +185,79 @@ def locate_burst(
 
 
 # ---------------------------------------------------------------------------
-# pattern-free compression (base 2^{2t}-1 re-encoding of 2t-bit chunks)
+# pattern-free compression (the rank of a window among the w-free strings)
 
 
+@lru_cache(maxsize=32)
+def _pattern_free_count(delta: int, t: int) -> int:
+    """N(delta), the number of binary strings of length delta >= 2t without
+    w.  A w-free string of length L - 1 and one more bit contain w only as
+    their last 2t bits, after a w-free string of length L - 2t, so
+    N(L) = 2N(L-1) - N(L-2t), with N(L) = 2^L below 2t."""
+    last = deque((1 << k for k in range(2 * t)), maxlen=2 * t)
+    for _ in range(2 * t, delta + 1):
+        last.append(2 * last[-1] - last[0])
+    return last[-1]
+
+
+@lru_cache(maxsize=64)
 def _check_capacity(dp: DensityParams) -> None:
-    t = dp.t
-    if dp.delta % (2 * t) != 0:
-        raise ValueError("delta must be a multiple of 2t for compression")
     if dp.out_len <= 0:
         raise ValueError("compressed length would be non-positive")
-    chunks = dp.delta // (2 * t)
-    if ((1 << (2 * t)) - 1) ** chunks > (1 << dp.out_len):
+    if _pattern_free_count(dp.delta, dp.t) > 1 << dp.out_len:
         raise ValueError(
             "parameters violate the compression capacity precondition"
         )
 
 
-def capacity_delta(n: int, t: int) -> int:
-    """The least multiple of 2t that is at least default_delta(n, t) and
-    meets the compression capacity.  The paper's delta can fall short of
-    it (n = 1024, t = 2: 640 against 860).
-
-    delta = 2t * m meets it when (2^2t - 1)^m <= 2^(2tm - c), c = ceil(log n)
-    + 4t + 2, that is from m >= c / -log2(1 - 2^-2t) on: the float estimate
-    of that bound, less one, is where the exact check starts."""
-    if t < 1:
-        raise ValueError("t must be at least 1")
-    step = 2 * t
-    bound = (ceil_log2(n) + 4 * t + 2) * log(2) / -log1p(-(2.0**-step))
-    m = max(default_delta(n, t) // step, ceil(bound) - 1)
-    while True:
-        try:
-            _check_capacity(DensityParams(n, t, m * step))
-            return m * step
-        except ValueError:
-            m += 1
-
-
-def contains_pattern(s: tuple, w: tuple) -> bool:
-    return any(s[i : i + len(w)] == w for i in range(len(s) - len(w) + 1))
+@lru_cache(maxsize=4)
+def _rank_table(delta: int, t: int) -> tuple:
+    """(rows, step) of the automaton that reads w = 0^t 1^t.  w does not
+    overlap itself, so it has 2t states: k < t has read 0^k and k >= t has
+    read 0^t 1^(k-t); step[b][k] is the state after bit b, and 2t means w
+    was read.  rows[r][k] is the number of w-free completions of r bits
+    from state k."""
+    zero = [k + 1 if k < t else t if k == t else 1 for k in range(2 * t)]
+    one = [0 if k < t else k + 1 for k in range(2 * t)]
+    rows = [[1] * (2 * t) + [0]]
+    for _ in range(delta):
+        rows.append([rows[-1][a] + rows[-1][b] for a, b in zip(zero, one)] + [0])
+    return rows, (zero, one)
 
 
 def compress_g(s: tuple, dp: DensityParams) -> tuple:
-    """Compress a pattern-free string of length delta to out_len bits by
-    treating each 2t-bit chunk as a digit in base 2^{2t}-1 (w excluded)."""
+    """Compress a pattern-free string of length delta to out_len bits: its
+    rank in lexicographic order among the w-free strings of that length."""
     _check_capacity(dp)
-    t = dp.t
     if len(s) != dp.delta:
         raise ValueError("compress_g expects length delta")
-    if contains_pattern(s, dp.w):
+    if bytes(dp.w) in bytes(s):
         raise ValueError("input contains the pattern w")
-    w_val = (1 << t) - 1  # value of the excluded chunk 0^t 1^t
-    base = (1 << (2 * t)) - 1
-    value = 0
-    for i in range(0, dp.delta, 2 * t):
-        chunk = _bits_to_int(s[i : i + 2 * t])
-        digit = chunk if chunk < w_val else chunk - 1
-        value = value * base + digit
+    rows, step = _rank_table(dp.delta, dp.t)
+    value = k = 0
+    for r, bit in zip(range(dp.delta - 1, -1, -1), s):
+        if bit:  # pass over the strings that have a 0 here
+            value += rows[r][step[0][k]]
+        k = step[bit][k]
     return _int_to_bits(value, dp.out_len)
 
 
 def decompress_g(bits: tuple, dp: DensityParams) -> tuple:
-    """Inverse of compress_g."""
+    """Inverse of compress_g; a value of N(delta) or more is refused."""
     _check_capacity(dp)
-    t = dp.t
     if len(bits) != dp.out_len:
         raise ValueError("decompress_g expects out_len bits")
-    w_val = (1 << t) - 1
-    base = (1 << (2 * t)) - 1
+    rows, step = _rank_table(dp.delta, dp.t)
     value = _bits_to_int(bits)
-    chunks = dp.delta // (2 * t)
-    digits = []
-    for _ in range(chunks):
-        value, digit = divmod(value, base)
-        digits.append(digit)
-    if value:
+    if value >= rows[dp.delta][0]:
         raise NotDecodableError("compressed value out of range")
-    out = []
-    for digit in reversed(digits):
-        chunk = digit if digit < w_val else digit + 1
-        out.extend(_int_to_bits(chunk, 2 * t))
+    out, k = [], 0
+    for r in range(dp.delta - 1, -1, -1):
+        below = rows[r][step[0][k]]
+        bit = int(value >= below)
+        value -= below * bit
+        out.append(bit)
+        k = step[bit][k]
     return tuple(out)
 
 
@@ -270,17 +265,12 @@ def decompress_g(bits: tuple, dp: DensityParams) -> tuple:
 # dense encoding (cut pattern-free windows, log them in trailer records)
 
 
-def _closing(e: int, t: int) -> tuple:
-    """Closing half-pattern of a trailer record padded by e zeros: when 2t-e
-    is odd the two halves are left unbalanced by one (deviation from the
-    half/half split, which is fractional for odd e)."""
-    a = (2 * t - e) // 2
-    b = (2 * t - e) - a
-    return (0,) * a + (1,) * b
-
-
 def _record_tail(e: int, dp: DensityParams) -> tuple:
-    return (1,) + dp.w + _closing(e, dp.t) + (0,)
+    """Separator, w, closing half-pattern and 0 of a record padded by e
+    zeros.  The closing half-pattern is 0^a 1^b with a + b = 2t - e and
+    a = b or b = a + 1 when 2t - e is odd."""
+    a = (2 * dp.t - e) // 2
+    return (1,) + dp.w + (0,) * a + (1,) * (2 * dp.t - e - a) + (0,)
 
 
 def _pattern_free_start(E: list, nn: int, delta: int, w: tuple) -> Optional[int]:

@@ -677,7 +677,7 @@ def sieve(
 def redundancy_table(families: Iterable[str], ns: list, q: int = 2) -> list:
     """Rows: (family, burst, formula, then per n the exact redundancy
     log2(ambient / largest class) that the family's automata count, or
-    blank where it counts none)."""
+    blank where it counts none or has no code at that n)."""
     if q < 2 or min(ns, default=1) < 1:
         raise ValueError("table requires q >= 2 and every n >= 1")
     rows = [["family", "burst", "formula"] + [f"n={n}" for n in ns]]
@@ -685,7 +685,10 @@ def redundancy_table(families: Iterable[str], ns: list, q: int = 2) -> list:
         fam = get_family(name)
         row = [fam.name, *fam.formula]
         for n in ns:
-            got = fam.largest_class(n, q)
+            try:
+                got = fam.largest_class(n, q)
+            except ValueError:  # e.g. induced below n = 2
+                got = None
             row.append("" if got is None else f"{measured_redundancy(*got):.3f}")
         rows.append(row)
     return rows

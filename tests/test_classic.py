@@ -305,10 +305,10 @@ def _contract_case(rng, family, n):
             and induced_residues(u, n, q) == (a, b, c)
             and rx in [res for _, res in induced_deletions(u)]
         )
-    if family == "dense":
+    if (family, n) in CONTRACT_DENSE:
         # a uniform word, or the encoding of a word of long runs (whose
         # pattern-free windows become trailer records) with one bit flipped
-        t, delta, _ = CONTRACT_DENSE[n]
+        t, delta, _ = CONTRACT_DENSE[family, n]
         dp = DensityParams(n, t, delta)
         if rng.random() < 0.5:
             y = _bits(rng, n + 4 * t)
@@ -344,16 +344,21 @@ def _contract_case(rng, family, n):
     )
 
 
-# dense-encoding cases of the contract test: n -> (t, delta, inputs)
-CONTRACT_DENSE = {128: (1, 64, 5000), 1024: (2, 864, 1000)}
+# dense-encoding cases of the contract test: (label, n) -> (t, delta,
+# inputs); dense-paper takes the paper's delta t * 2^(2t+1) * ceil(log n)
+CONTRACT_DENSE = {
+    ("dense", 128): (1, 64, 5000),
+    ("dense", 1024): (2, 864, 1000),
+    ("dense-paper", 1024): (2, 640, 1000),
+}
 
 CONTRACT_CASES = [
     (family, n)
     for family in ("vt", "tenengolts", "levenshtein", "induced", "pbounded")
     for n in (8, 12)
-] + [(label, CONTRACT_BOOKS[label][1]) for label in CONTRACT_BOOKS] + [
-    ("dense", n) for n in CONTRACT_DENSE
-] + [("pll", n) for n in (16, 64)]
+] + [(label, CONTRACT_BOOKS[label][1]) for label in CONTRACT_BOOKS] + list(
+    CONTRACT_DENSE
+) + [("pll", n) for n in (16, 64)]
 
 
 @pytest.mark.parametrize(
@@ -366,8 +371,8 @@ def test_decoder_contract_on_arbitrary_input(family, n):
     outcomes = {"refused": 0, "decoded": 0}
     if family in CONTRACT_BOOKS:
         inputs = CONTRACT_BOOKS[family][3]
-    elif family == "dense":
-        inputs = CONTRACT_DENSE[n][2]
+    elif (family, n) in CONTRACT_DENSE:
+        inputs = CONTRACT_DENSE[family, n][2]
     else:
         inputs = 5000
     for _ in range(inputs):

@@ -67,10 +67,10 @@ class TestEncode:
 
     @pytest.mark.parametrize("n,t", [(256, 1), (256, 2), (1024, 2)])
     def test_dense_default_delta_meets_capacity(self, tmp_path, capsys, n, t):
-        # the paper's delta fails the compressor's capacity here, so the
-        # default is the least multiple of 2t above it that meets it
+        # the default is the paper's delta, whose windows fit their records
+        # once each is coded by its exact rank (640 at n = 1024, t = 2)
         from burstcodes.seqcore import parse_sequence
-        from burstcodes.tburst import DensityParams, capacity_delta, dense_decode
+        from burstcodes.tburst import DensityParams, default_delta, dense_decode
 
         rng = random.Random(2)
         src = tmp_path / "x.txt"
@@ -83,18 +83,21 @@ class TestEncode:
         )
         assert code == 0
         assert f"{n} -> {n + 4 * t}" in out
-        dp = DensityParams(n, t, capacity_delta(n, t))
+        dp = DensityParams(n, t, default_delta(n, t))
         y = parse_sequence(dst.read_text())
         assert "".join(map(str, dense_decode(y, dp))) == x
 
-    def test_capacity_delta(self):
-        from burstcodes.tburst import capacity_delta
-
-        assert capacity_delta(1024, 2) == 860
-        assert capacity_delta(256, 1) == 68
-        assert capacity_delta(1024, 1) == 80  # the paper's delta fits here
-        # found from the capacity bound, not by a scan over ~10^4 deltas
-        assert capacity_delta(1024, 5) == 227020
+    def test_dense_short_word_needs_delta(self, tmp_path, capsys):
+        # at n <= 2 the paper's delta leaves too few record bits
+        src = tmp_path / "x.txt"
+        src.write_text("01\n")
+        code, _, err = run(
+            capsys, "encode", "--scheme", "dense",
+            "--in", str(src), "--out", str(tmp_path / "y.txt"),
+        )
+        assert code == USAGE_ERROR
+        assert "capacity" in err
+        assert not (tmp_path / "y.txt").exists()
 
     def test_dense_t0_is_usage_error(self, tmp_path, capsys):
         src = tmp_path / "x.txt"
@@ -398,6 +401,22 @@ class TestBounds:
         code, _, _ = run(capsys, "bounds", "--n", "5", "--t", "2")
         assert code == USAGE_ERROR
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--n", "4", "--t", "0"),
+            ("--n", "4", "--t", "2", "--q", "1"),
+            ("--n", "4", "--t", "-2"),
+            ("--perm", "--n", "4", "--t", "0"),
+        ],
+        ids=["t0", "q1", "t-2", "perm-t0"],
+    )
+    def test_option_below_range_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "bounds", *argv)
+        assert code == USAGE_ERROR
+        assert out == ""
+        assert "requires" in err
+
 
 class TestTable:
     def test_csv_output(self, tmp_path, capsys):
@@ -441,6 +460,12 @@ class TestTable:
         assert cells == {
             "tenengolts": ["7.000"], "induced": ["9.999"], "c2b": ["11.940"],
         }
+
+    def test_family_without_code_at_n_leaves_cell_blank(self, tmp_path, capsys):
+        # induced has no code at n = 1; its cell is blank, the rest written
+        cells = self.cells(tmp_path, capsys, "--ns", "1,2")
+        assert cells["induced"] == ["", "1.000"]
+        assert cells["vt"] == ["1.000", "1.000"]
 
     def test_unknown_family_is_usage_error(self, tmp_path, capsys):
         out_path = tmp_path / "table.csv"

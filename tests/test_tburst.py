@@ -19,6 +19,7 @@ from burstcodes.seqcore import (
     Interval,
     NotDecodableError,
     _bits_to_int,
+    _int_to_bits,
     apply_burst,
     bursts,
     deletion_ball,
@@ -37,7 +38,6 @@ from burstcodes.tburst import (
     block_layout,
     block_syndromes,
     compress_g,
-    contains_pattern,
     cpb_decode,
     ctb_decode,
     ctb_member,
@@ -55,7 +55,7 @@ from burstcodes.tburst import (
 )
 from burstcodes import verify
 
-# admissible compression parameters: 3^41 < 2^66
+# admissible compression parameters: 83 pattern-free windows, 66 bits
 DP1 = DensityParams(1024, 1, 82)
 
 
@@ -171,8 +171,30 @@ class TestCompression:
                 if tuple(s[-4:]) == (0, 0, 1, 1):
                     s[-1] = 0
             s = tuple(s)
-            assert not contains_pattern(s, dp.w)
+            assert bytes(dp.w) not in bytes(s)
             assert decompress_g(compress_g(s, dp), dp) == s
+
+    def test_rank_is_a_bijection(self):
+        # the pattern-free strings, in product order, compress to
+        # 0..N(delta)-1 and back, and N(delta) is refused; out_len = delta
+        # bits makes room for every window at these small deltas
+        class Wide(DensityParams):
+            out_len = property(lambda self: self.delta)
+
+        for t in (1, 2, 3):
+            for delta in range(2 * t, 17):
+                dp = Wide(1, t, delta)
+                free = [
+                    s
+                    for s in itertools.product((0, 1), repeat=delta)
+                    if bytes(dp.w) not in bytes(s)
+                ]
+                for rank, s in enumerate(free):
+                    bits = compress_g(s, dp)
+                    assert _bits_to_int(bits) == rank
+                    assert decompress_g(bits, dp) == s
+                with pytest.raises(NotDecodableError):
+                    decompress_g(_int_to_bits(len(free), delta), dp)
 
     def test_rejects_pattern(self):
         s = (0, 1) + (0,) * (DP1.delta - 2)
@@ -180,13 +202,30 @@ class TestCompression:
             compress_g(s, DP1)
 
     def test_capacity_precondition(self):
-        # too little output room: 3^10 > 2^4
+        # too little output room: 21 pattern-free windows > 2^4
         with pytest.raises(ValueError):
             compress_g((0,) * 20, DensityParams(1024, 1, 20))
 
-    def test_odd_delta_rejected(self):
+    def test_delta_off_a_multiple_of_2t(self):
+        # 170 = 2 mod 4 is the least delta whose windows fit at (1024, 2)
         with pytest.raises(ValueError):
-            compress_g((0,) * 21, DensityParams(1024, 2, 21))
+            compress_g((0,) * 169, DensityParams(1024, 2, 169))
+        dp = DensityParams(1024, 2, 170)
+        for s in ((0,) * 170, (1,) * 170, (0, 1) * 85, (1,) * 83 + (0,) * 87):
+            assert decompress_g(compress_g(s, dp), dp) == s
+
+
+def _cut_heavy(rng, n: int, delta: int) -> tuple:
+    """Constant runs and alternating stretches of up to delta bits, which
+    avoid w = 0^t 1^t for t >= 2, so the encoder cuts windows."""
+    x = []
+    while len(x) < n:
+        bit, size = rng.randint(0, 1), rng.randint(1, delta)
+        if rng.random() < 0.5:
+            x.extend([bit] * size)
+        else:
+            x.extend([bit, 1 - bit] * (size // 2))
+    return tuple(x[:n])
 
 
 class TestDenseEncoding:
@@ -213,6 +252,23 @@ class TestDenseEncoding:
         y = dense_encode(x, DP1)
         assert dense_decode(y, DP1) == x
 
+    @pytest.mark.parametrize(
+        "n, t, delta", [(1024, 2, 640), (1024, 2, 170), (8192, 3, 4992)]
+    )
+    def test_roundtrip_cut_heavy(self, n, t, delta):
+        # the paper's delta at (1024, 2) and (8192, 3), and the least delta
+        # whose windows fit at (1024, 2); an encoding that ends in 0 ends
+        # in a record, so a window was cut
+        dp = DensityParams(n, t, delta)
+        rng = random.Random(f"cut/{n}/{t}/{delta}")
+        cut = 0
+        for _ in range(4):
+            x = _cut_heavy(rng, n, delta)
+            y = dense_encode(x, dp)
+            cut += y[-1] == 0
+            assert dense_decode(y, dp) == x
+        assert cut
+
     def test_output_is_dense(self):
         rng = random.Random(13)
         for _ in range(5):
@@ -229,8 +285,8 @@ class TestDenseEncoding:
     def test_records_match_recorded_digest(self):
         # words of long runs cut pattern-free windows; a quarter end in
         # 0 1^a 0^(63-a), whose window runs one bit past the core and is cut
-        # as a padded record; the digest was recorded from the two-branch
-        # record code
+        # as a padded record; the digest was recorded with each window coded
+        # by its exact rank
         dp = DensityParams(128, 1, 64)
         rng = random.Random(9)
         outs = []
@@ -246,7 +302,7 @@ class TestDenseEncoding:
                 x[64:] = [0] + [1] * a + [0] * (63 - a)
             outs.append(dense_encode(tuple(x), dp))
         assert _digest(outs) == (
-            "2e6f481e33ab30571c2e9c12f934ade28399a4467d7a8a917c10b09cb4778036"
+            "ce7aadc1b78a3174c8e81b967bbe67c319e419d820fd218ff367dcc9d89fc8b1"
         )
 
     @pytest.mark.parametrize("t", range(1, 9))
@@ -260,8 +316,8 @@ class TestDenseEncoding:
     def test_decode_outcomes_match_recorded_digest(self):
         # uniform words, encodings of long-run words and those encodings
         # with one bit flipped; at n = 16 every record is longer than the
-        # word; the digest was recorded from the walk that backtracked over
-        # each record's pad amount
+        # word; the digest was recorded with each window coded by its exact
+        # rank
         outs = []
         for n, t, delta in ((16, 1, 64), (128, 1, 64), (1024, 2, 864)):
             dp = DensityParams(n, t, delta)
@@ -281,7 +337,7 @@ class TestDenseEncoding:
                     except NotDecodableError as exc:
                         outs.append(str(exc))
         assert _digest(outs) == (
-            "3ae54fe0e963925feb175a734f72aa8df7511107f40d1dc63ea883c49e68e379"
+            "d81f29a4209e32c6b15bf96cbb4cfb62eb35db9f8ff25d1bb670dd8cd18b9ba6"
         )
 
 
