@@ -356,12 +356,17 @@ ORACLE_DIGESTS = [
     ("burst", 14, 1, 38, "0db257e5f8f4a8d8f35e4a87bae75f8f2281d1b5763a6723637451045e82e7f6"),
     ("burst", 14, 2, 68, "f20a7b5baa5df94926810120fa7059df703d6d94955db74930b9c2368b4a3afa"),
     ("burst", 14, 3, 118, "eef28231108bab57bcddc9ed770be8316936ab111327e90b901ea114e4bbeed0"),
+    ("burst", 16, 2, 85, "c6efbeb1b8985fe1c5a30ef0407bf0d030250e28cefef6591eb7d0707c2eed77"),
+    # the k = 20 table of acceptance criterion 06, cached when that test ran
+    # first in the same process
+    ("burst", 20, 3, 218, "871b2e6ebae53ba6fe24940a15c05e941fa19c326f6c6b24c4208488c1657360"),
     ("edit", 6, 1, 33, "1177865bd0f7f52f3332ad3ebbbd62cf5cc31a71c75050e94d957fa9dd92573b"),
     ("edit", 6, 2, 64, "ccf91e2b960f51464b77d855d580f583fe4e1cf0472832315bad6d855cf732f6"),
     ("edit", 8, 1, 54, "f86e0007cbf58dbe4fb15d9125ca88e49ae945f305f578bb1645e1993842eebc"),
     ("edit", 8, 2, 256, "ce694d5c7d7c923baab12ec1d6802c1c51fd2b080f75601205f07d9129708f35"),
     ("edit", 10, 1, 81, "7571a6f6907a56a0dbf6a2ff21f4c3bf3ded5d405f1879165066a1eaf355dafd"),
     ("edit", 10, 2, 503, "d23bce5855e96b34a3aa09a320a2f2d75ff0082e2b6795fc24215acb515fb73a"),
+    ("edit", 12, 2, 751, "cd6b59a534b95991a36c0634c68b7868878a321f699a5c50dfd1d9eae0b7763e"),
 ]
 
 
