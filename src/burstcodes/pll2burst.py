@@ -51,14 +51,19 @@ def pll_encode(x: tuple) -> tuple:
     cap = pll_cap(n)
     run = bytes(cap - 1)  # the diffs of a period-2 window of cap + 1 bits
     y = list(x) + [1, 0]
-    nn = n
-    # cut at the first start i <= nn - clog - 3 of such a window, then
-    # search again from the start of the shortened payload
-    while 1 <= (i := _period2_diffs(y).find(run) + 1) <= nn - clog - 3:
+    diffs = _period2_diffs(y)
+    nn, start = n, 0
+    # cut at the first start i <= nn - clog - 3 of such a window.  The
+    # windows of cap + 1 bits ending before the cut (0-based starts below
+    # i - 1 - cap) are unchanged and held none, so the search resumes there,
+    # and only the diffs from there on are computed again
+    while 1 <= (i := diffs.find(run, start) + 1) <= nn - clog - 3:
         a, b = y[i - 1], y[i]
         del y[i - 1 : i - 1 + cap]
         y += [0, a, b, *_int_to_bits(i, clog), 1, 1]
         nn -= cap
+        start = max(0, i - 1 - cap)
+        diffs = diffs[:start] + _period2_diffs(y[start:])
     assert len(y) == n + 2
     return tuple(y)
 

@@ -12,9 +12,9 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from itertools import product
-from operator import or_
+from operator import itemgetter, or_
 from typing import Callable, Optional
 
 from .seqcore import (
@@ -387,6 +387,8 @@ def _ball(k: int, t: int, model: str) -> list:
         return [(s, d, 0) for d in range(1, t + 1) for s in range(k - d + 1)]
     if model != "edit":
         raise ValueError(f"unknown error model {model!r}")
+    if t < 1:
+        raise ValueError("require t >= 1")
     # replace a substring of length l1 <= 2t by any string of length
     # l2 <= 2t (identity included).  Widened by a neighbouring bit of v,
     # which a fill one bit longer can put back, a replacement yields all it
@@ -401,46 +403,171 @@ def _ball(k: int, t: int, model: str) -> list:
 
 
 ORACLE_MAX_K = 20
+# log2 of the run length of oracle_build_brute, per model: the lengths that
+# built fastest.  The blocks of an edit run are nearly all neighbours, so
+# their neighbour lists grow fastest with the run there
+RUN_BITS = {"burst": 7, "edit": 6}
+
+
+def _gather(idx: list) -> Callable:
+    """The items of a sequence at the indices idx, as a tuple (itemgetter
+    of one index returns the item itself)."""
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    return lambda seq: tuple(seq[i] for i in idx)
+
+
+_ors = partial(map, or_)  # elementwise OR of two sequences
+
+
+def _layers(owners: list, zero: int) -> list:
+    """Gathers whose elementwise OR holds, for each list of indices in
+    owners, the OR of the items at them: gather i takes each list's i-th
+    index, or `zero`, the index of a 0, past its end."""
+    depth = max(map(len, owners))
+    return [_gather([o[i] if i < len(o) else zero for o in owners]) for i in range(depth)]
+
+
+def _run_plan(k: int, shapes: list, r: int) -> tuple:
+    """The fixed part of oracle_build_brute's runs of 2^r blocks: the
+    windows inside T, the chunks' bases, the folds, the read of each x and
+    the writers of each chunk."""
+    R = 1 << r
+    # a descendant is the top s bits of v, tagged, then the fill, then the
+    # low bits v & keep
+    top = []  # windows inside T: (a, tag, width, keep, fill offsets)
+    chunks = {}  # (shift, tag, width) of a chunk's base -> its number
+    spots = []  # per chunk and descendant, the x that delete into it
+    writers = []  # per chunk, (gathers, expand) of its fill windows
+    folds = []  # per fill window, its chunk and its class offsets per fill
+    deleted = [[] for _ in range(R)]  # per x, (chunk, offset) of its deletions
+    folded = [[] for _ in range(R)]  # per x, (fold, class) of its fill windows
+    shared = {}  # descendant in the run T = 0 -> bit mask of the x reaching it
+    for s, l1, l2 in shapes:
+        a, tag, low = k - s, 1 << s, k - s - l1
+        width, keep = low + l2, (1 << low) - 1
+        fills = [f << low for f in range(1 << l2)]
+        desc = [(((x >> a) | tag) << width) | (x & keep) for x in range(R)]
+        for x, d in enumerate(desc):
+            for f in fills:
+                shared[d + f] = shared.get(d + f, 0) | 1 << x
+        if low >= r:
+            top.append((a, tag, width, keep, fills))
+            continue
+        # the chunk of the run T starts at ((T >> shift) | tag) << width
+        key = (0, 1 << (k - r), r - l1 + l2) if a <= r else (a - r, tag, width)
+        if key not in chunks:
+            chunks[key] = len(spots)
+            spots.append([set() for _ in range(1 << key[2])])
+            writers.append([])
+        c = chunks[key]
+        desc = [d - (key[1] << key[2]) for d in desc]
+        if not l2:
+            for x, d in enumerate(desc):
+                spots[c][d].add(x)
+                deleted[x].append((c, d))
+            continue
+        # the x of one class differ only inside the window: they read the
+        # OR over the fills once, and their OR goes to all of the fills
+        classes = sorted(set(desc))
+        cls = list(map(classes.index, desc))
+        for x, j in enumerate(cls):
+            folded[x].append((len(folds), j))
+        folds.append((c, [[d + f for d in classes] for f in fills]))
+        members = [[x for x in range(R) if cls[x] == j] for j in range(len(classes))]
+        where = {d + f: j for j, d in enumerate(classes) for f in fills}
+        writers[c].append((_layers(members, R), _gather([where[o] for o in range(1 << key[2])])))
+    for c, cell_spots in enumerate(spots):
+        if any(cell_spots):
+            writers[c].append((_layers(list(map(sorted, cell_spots)), R), None))
+    # a run's work list holds its chunks, its folds, then its label bits
+    at, F = [], 0
+    for key in chunks:
+        at.append(F)
+        F += 1 << key[2]
+    fold_at = []
+    for c, per_fill in folds:
+        fold_at.append(F)
+        F += len(per_fill[0])
+    fold_gets = [[_gather([at[c] + o for o in idx]) for idx in per_fill] for c, per_fill in folds]
+    near = [0] * R  # bit y of near[x]: x and y share a descendant
+    for xs in set(shared.values()):
+        for x in range(R):
+            if xs >> x & 1:
+                near[x] |= xs
+    # x reads its chunk descendants, its folds and its earlier neighbours'
+    # label bits
+    gets = [
+        _gather(
+            sorted({at[c] + d for c, d in deleted[x]} | {fold_at[i] + j for i, j in folded[x]})
+            + [F + y for y in range(x) if near[x] >> y & 1]
+        )
+        for x in range(R)
+    ]
+    return top, list(zip(chunks, writers)), fold_gets, gets, F
 
 
 @lru_cache(maxsize=None)
 def oracle_build_brute(k: int, t: int, model: str) -> SyndromeOracle:
     """Greedy coloring of the confusability graph over all binary blocks of
-    length k, in lexicographic vertex order (deterministic)."""
+    length k, in lexicographic vertex order (deterministic): each block
+    takes the least label of no earlier block it shares a descendant with.
+
+    The blocks are labeled a run at a time, a run being the R = 2^r blocks
+    v = T 2^r + x that share their top k - r bits T.  Under one window and
+    fill, the descendant of v is that of T 2^r plus a part set by x alone:
+    - a window inside T takes the run to R consecutive descendants;
+    - windows inside x keep T in front, so all those of one output length
+      reach one chunk of descendants, the same fixed gathers for every T;
+      a window across the boundary has a chunk of its own.
+    Two blocks of a run share a descendant exactly when their low parts do
+    (the common prefix cancels), so the earlier neighbours of each x within
+    a run are found once, in the run T = 0.  A block's label is the least
+    one absent from its descendants as they stood before its run and from
+    its neighbours' labels; the run's labels are written back after.
+    """
     if k > ORACLE_MAX_K:
         raise ValueError(f"oracle build limited to k <= {ORACLE_MAX_K}")
     shapes = _ball(k, t, model)
     longest = max(k - l1 + l2 for _, l1, l2 in shapes)
     # descendant -> bit mask of the labels of blocks reaching it
     used = [0] * (2 << longest)
-    # a descendant is the top s bits of v, tagged, then the fill, then the
-    # low bits v & keep: a deletion makes one, a fill of l2 bits a range of
-    # 2^l2 ints `step` apart
-    deletions = [
-        (k - s, 1 << s, k - s - l1, (1 << (k - s - l1)) - 1)
-        for s, l1, l2 in shapes
-        if not l2
-    ]
-    fills = [
-        (k - s, 1 << s, k - s - l1 + l2, (1 << (k - s - l1)) - 1, 1 << (k - s - l1))
-        for s, l1, l2 in shapes
-        if l2
-    ]
-    labels = array("I", [0]) * (1 << k)
-    for v in range(1 << k):
-        descs = {
-            (((v >> a) | tag) << low) | (v & keep) for a, tag, low, keep in deletions
+    r = min(k, RUN_BITS[model])
+    R = 1 << r
+    top, chunks, fold_gets, gets, F = _run_plan(k, shapes, r)
+    labels = array("I")
+    zero = [0] * R
+    for T in range(1 << (k - r)):
+        v = T << r
+        bases = {
+            (((v >> a) | tag) << width) | (v & keep) | f
+            for a, tag, width, keep, fills in top
+            for f in fills
         }
-        for a, tag, width, keep, step in fills:
-            base = (((v >> a) | tag) << width) | (v & keep)
-            descs.update(range(base, base + (1 << width), step))
-        forbidden = reduce(or_, map(used.__getitem__, descs), 0)
-        # the lowest clear bit of forbidden
-        label = (~forbidden & (forbidden + 1)).bit_length() - 1
-        labels[v] = label
-        bit = 1 << label
-        for d in descs:
-            used[d] |= bit
+        before = reduce(_ors, (used[b : b + R] for b in bases), zero)
+        work = []
+        for (sh, tg, w), _ in chunks:
+            b = ((T >> sh) | tg) << w
+            work += used[b : b + (1 << w)]
+        for per_fill in fold_gets:
+            work += reduce(_ors, [g(work) for g in per_fill])
+        work += zero
+        work.append(0)  # the 0 the writers' gathers take past a list's end
+        for i, f, get in zip(range(F, F + R), before, gets):
+            f = reduce(or_, get(work), f)
+            label = (~f & (f + 1)).bit_length() - 1
+            labels.append(label)
+            work[i] = 1 << label
+        bits = work[F:]
+        for b in bases:
+            used[b : b + R] = map(or_, used[b : b + R], bits)
+        for (sh, tg, w), writers in chunks:
+            b = ((T >> sh) | tg) << w
+            parts = [used[b : b + (1 << w)]]
+            for layers, expand in writers:
+                mask = reduce(_ors, [g(bits) for g in layers])
+                parts.append(expand(list(mask)) if expand else mask)
+            used[b : b + (1 << w)] = reduce(_ors, parts)
     return SyndromeOracle(
         k=k, t=t, model=model, labels=labels, label_space=max(labels) + 1
     )

@@ -91,6 +91,44 @@ class TestPllEncode:
         digest = hashlib.sha256(repr(ys).encode()).hexdigest()
         assert digest == PLL_DIGEST
 
+    def test_resume_matches_rescan(self):
+        # after a cut the search resumes cap bits before it; words with
+        # several planted period-2 runs make windows that span a cut
+        rng = random.Random("pll-resume")
+        for n in (16, 64, 128):
+            cap = pll_cap(n)
+            for _ in range(200):
+                x = [rng.randint(0, 1) for _ in range(n)]
+                for _ in range(rng.randint(2, 4)):
+                    length = min(n, rng.randint(cap - 2, 3 * cap))
+                    end = rng.randint(length, n)
+                    a, b = rng.randint(0, 1), rng.randint(0, 1)
+                    x[end - length : end] = ((a, b) * length)[:length]
+                assert pll_encode(tuple(x)) == _rescan_encode(x)
+
+
+def _rescan_encode(x):
+    """pll_encode as it searches every window from position 1 after each
+    cut."""
+    n = len(x)
+    clog, cap = (n - 1).bit_length(), pll_cap(n)
+    y, nn = list(x) + [1, 0], n
+
+    def first(y):
+        # 1-based start of the first period-2 window of cap + 1 bits, or 0
+        starts = range(1, len(y) - cap + 1)
+        return next(
+            (i for i in starts if all(y[j] == y[j + 2] for j in range(i - 1, i + cap - 2))),
+            0,
+        )
+
+    while 1 <= (i := first(y)) <= nn - clog - 3:
+        a, b = y[i - 1], y[i]
+        del y[i - 1 : i - 1 + cap]
+        y += [0, a, b, *((i >> j) & 1 for j in range(clog - 1, -1, -1)), 1, 1]
+        nn -= cap
+    return tuple(y)
+
 
 PLL_DIGEST = "ad00c31618add8e37f596bf9b452660ee08fdf16cb05cbd9bf6f2da679a8d773"
 

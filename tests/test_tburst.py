@@ -28,10 +28,12 @@ from burstcodes.seqcore import (
     to_matrix,
 )
 from burstcodes.tburst import (
+    RUN_BITS,
     BlockLabeler,
     CtbParams,
     DensityParams,
     QaryBlockLabeler,
+    _ball,
     _burst_candidates,
     _edit_candidates,
     _record_tail,
@@ -417,6 +419,36 @@ class TestOracles:
     def test_size_cap(self):
         with pytest.raises(ValueError):
             oracle_build_brute(24, 2, "burst")
+
+    @pytest.mark.parametrize("t", [0, -1])
+    def test_edit_ball_rejects_t_below_one(self, t):
+        with pytest.raises(ValueError):
+            _ball(8, t, "edit")
+        with pytest.raises(ValueError):
+            oracle_build_brute.__wrapped__(8, t, "edit")
+
+    @pytest.mark.parametrize("model, kmax, tmax", [("burst", 9, 3), ("edit", 8, 2)])
+    def test_common_prefix_cancels(self, model, kmax, tmax):
+        # what the run-at-a-time build rests on: at every run length r it
+        # uses, two blocks that share their top k - r bits are confusable
+        # exactly when their low r bits are, whatever the shared bits
+        def ball(u, t):
+            if model == "edit":
+                return _edit_ball(u, t)
+            return deletion_ball(u, min(t, len(u)), upto=True)
+
+        for t in range(1, tmax + 1):
+            low = {
+                r: [ball(x, t) for x in itertools.product((0, 1), repeat=r)]
+                for r in range(1, RUN_BITS[model] + 1)
+            }
+            for k in range(2, kmax + 1):
+                blocks = [ball(u, t) for u in itertools.product((0, 1), repeat=k)]
+                for r in range(1, min(k - 1, RUN_BITS[model]) + 1):
+                    for T in range(1 << (k - r)):
+                        run = blocks[T << r : (T + 1) << r]
+                        for x, y in itertools.combinations(range(1 << r), 2):
+                            assert run[x].isdisjoint(run[y]) == low[r][x].isdisjoint(low[r][y])
 
     def test_deterministic(self):
         a = oracle_build_brute.__wrapped__(6, 2, "burst")
