@@ -13,7 +13,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce
-from itertools import product
+from itertools import groupby, product
 from operator import itemgetter, or_
 from typing import Callable, Optional
 
@@ -437,49 +437,58 @@ def _run_plan(k: int, shapes: list, r: int) -> tuple:
     # low bits v & keep
     top = []  # windows inside T: (a, tag, width, keep, fill offsets)
     chunks = {}  # (shift, tag, width) of a chunk's base -> its number
-    spots = []  # per chunk and descendant, the x that delete into it
+    spots = {}  # chunk -> descendant -> the x that delete into it
     writers = []  # per chunk, (gathers, expand) of its fill windows
     folds = []  # per fill window, its chunk and its class offsets per fill
     deleted = [[] for _ in range(R)]  # per x, (chunk, offset) of its deletions
     folded = [[] for _ in range(R)]  # per x, (fold, class) of its fill windows
-    shared = {}  # descendant in the run T = 0 -> bit mask of the x reaching it
-    for s, l1, l2 in shapes:
-        a, tag, low = k - s, 1 << s, k - s - l1
-        width, keep = low + l2, (1 << low) - 1
-        fills = [f << low for f in range(1 << l2)]
-        desc = [(((x >> a) | tag) << width) | (x & keep) for x in range(R)]
-        for x, d in enumerate(desc):
-            for f in fills:
-                shared[d + f] = shared.get(d + f, 0) | 1 << x
-        if low >= r:
-            top.append((a, tag, width, keep, fills))
-            continue
-        # the chunk of the run T starts at ((T >> shift) | tag) << width
-        key = (0, 1 << (k - r), r - l1 + l2) if a <= r else (a - r, tag, width)
-        if key not in chunks:
-            chunks[key] = len(spots)
-            spots.append([set() for _ in range(1 << key[2])])
-            writers.append([])
-        c = chunks[key]
-        desc = [d - (key[1] << key[2]) for d in desc]
-        if not l2:
+    near = [0] * R  # bit y of near[x]: x and y share a descendant
+    gain = lambda shape: shape[2] - shape[1]  # noqa: E731
+    # descendants of two lengths never meet, so they are matched one
+    # length at a time
+    for _, same_length in groupby(sorted(shapes, key=gain), key=gain):
+        shared = {}  # descendant in the run T = 0 -> bit mask of its x
+        for s, l1, l2 in same_length:
+            a, tag, low = k - s, 1 << s, k - s - l1
+            width, keep = low + l2, (1 << low) - 1
+            fills = [f << low for f in range(1 << l2)]
+            desc = [(((x >> a) | tag) << width) | (x & keep) for x in range(R)]
             for x, d in enumerate(desc):
-                spots[c][d].add(x)
-                deleted[x].append((c, d))
-            continue
-        # the x of one class differ only inside the window: they read the
-        # OR over the fills once, and their OR goes to all of the fills
-        classes = sorted(set(desc))
-        cls = list(map(classes.index, desc))
-        for x, j in enumerate(cls):
-            folded[x].append((len(folds), j))
-        folds.append((c, [[d + f for d in classes] for f in fills]))
-        members = [[x for x in range(R) if cls[x] == j] for j in range(len(classes))]
-        where = {d + f: j for j, d in enumerate(classes) for f in fills}
-        writers[c].append((_layers(members, R), _gather([where[o] for o in range(1 << key[2])])))
-    for c, cell_spots in enumerate(spots):
-        if any(cell_spots):
-            writers[c].append((_layers(list(map(sorted, cell_spots)), R), None))
+                for f in fills:
+                    shared[d + f] = shared.get(d + f, 0) | 1 << x
+            if low >= r:
+                top.append((a, tag, width, keep, fills))
+                continue
+            # the chunk of the run T starts at ((T >> shift) | tag) << width
+            key = (0, 1 << (k - r), r - l1 + l2) if a <= r else (a - r, tag, width)
+            c = chunks.setdefault(key, len(chunks))
+            if c == len(writers):
+                writers.append([])
+            desc = [d - (key[1] << key[2]) for d in desc]
+            if not l2:
+                for x, d in enumerate(desc):
+                    spots.setdefault(c, {}).setdefault(d, set()).add(x)
+                    deleted[x].append((c, d))
+                continue
+            # the x of one class differ only inside the window: they read
+            # the OR over the fills once, and their OR goes to all the fills
+            classes = sorted(set(desc))
+            cls = list(map(classes.index, desc))
+            for x, j in enumerate(cls):
+                folded[x].append((len(folds), j))
+            folds.append((c, [[d + f for d in classes] for f in fills]))
+            members = [[x for x in range(R) if cls[x] == j] for j in range(len(classes))]
+            where = {d + f: j for j, d in enumerate(classes) for f in fills}
+            expand = _gather([where[o] for o in range(1 << key[2])])
+            writers[c].append((_layers(members, R), expand))
+        for xs in set(shared.values()):
+            for x in range(R):
+                if xs >> x & 1:
+                    near[x] |= xs
+    for c, cell_spots in spots.items():
+        span = 1 << list(chunks)[c][2]
+        owners = [sorted(cell_spots.get(o, ())) for o in range(span)]
+        writers[c].append((_layers(owners, R), None))
     # a run's work list holds its chunks, its folds, then its label bits
     at, F = [], 0
     for key in chunks:
@@ -490,11 +499,6 @@ def _run_plan(k: int, shapes: list, r: int) -> tuple:
         fold_at.append(F)
         F += len(per_fill[0])
     fold_gets = [[_gather([at[c] + o for o in idx]) for idx in per_fill] for c, per_fill in folds]
-    near = [0] * R  # bit y of near[x]: x and y share a descendant
-    for xs in set(shared.values()):
-        for x in range(R):
-            if xs >> x & 1:
-                near[x] |= xs
     # x reads its chunk descendants, its folds and its earlier neighbours'
     # label bits
     gets = [
@@ -559,6 +563,8 @@ def oracle_build_brute(k: int, t: int, model: str) -> SyndromeOracle:
             labels.append(label)
             work[i] = 1 << label
         bits = work[F:]
+        # both hold descendants as they were; drop them before they change
+        del work, before
         for b in bases:
             used[b : b + R] = map(or_, used[b : b + R], bits)
         for (sh, tg, w), writers in chunks:
