@@ -13,7 +13,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce
-from itertools import groupby, product
+from itertools import product
 from operator import itemgetter, or_
 from typing import Callable, Optional
 
@@ -430,23 +430,24 @@ def _layers(owners: list, zero: int) -> list:
 
 def _run_plan(k: int, shapes: list, r: int) -> tuple:
     """The fixed part of oracle_build_brute's runs of 2^r blocks: the
-    windows inside T, the chunks' bases, the folds, the read of each x and
-    the writers of each chunk."""
+    windows inside T, the chunks with their writers, the folds, what each x
+    reads, and where a run's label bits start in its work list."""
     R = 1 << r
     # a descendant is the top s bits of v, tagged, then the fill, then the
     # low bits v & keep
     top = []  # windows inside T: (a, tag, width, keep, fill offsets)
-    chunks = {}  # (shift, tag, width) of a chunk's base -> its number
+    chunks = {}  # (shift, tag, width) of a chunk's base -> its writers
     spots = {}  # chunk -> descendant -> the x that delete into it
-    writers = []  # per chunk, (gathers, expand) of its fill windows
     folds = []  # per fill window, its chunk and its class offsets per fill
     deleted = [[] for _ in range(R)]  # per x, (chunk, offset) of its deletions
     folded = [[] for _ in range(R)]  # per x, (fold, class) of its fill windows
     near = [0] * R  # bit y of near[x]: x and y share a descendant
-    gain = lambda shape: shape[2] - shape[1]  # noqa: E731
     # descendants of two lengths never meet, so they are matched one
     # length at a time
-    for _, same_length in groupby(sorted(shapes, key=gain), key=gain):
+    lengths = {}
+    for shape in shapes:
+        lengths.setdefault(shape[2] - shape[1], []).append(shape)
+    for same_length in lengths.values():
         shared = {}  # descendant in the run T = 0 -> bit mask of its x
         for s, l1, l2 in same_length:
             a, tag, low = k - s, 1 << s, k - s - l1
@@ -461,14 +462,12 @@ def _run_plan(k: int, shapes: list, r: int) -> tuple:
                 continue
             # the chunk of the run T starts at ((T >> shift) | tag) << width
             key = (0, 1 << (k - r), r - l1 + l2) if a <= r else (a - r, tag, width)
-            c = chunks.setdefault(key, len(chunks))
-            if c == len(writers):
-                writers.append([])
+            writers = chunks.setdefault(key, [])
             desc = [d - (key[1] << key[2]) for d in desc]
             if not l2:
                 for x, d in enumerate(desc):
-                    spots.setdefault(c, {}).setdefault(d, set()).add(x)
-                    deleted[x].append((c, d))
+                    spots.setdefault(key, {}).setdefault(d, set()).add(x)
+                    deleted[x].append((key, d))
                 continue
             # the x of one class differ only inside the window: they read
             # the OR over the fills once, and their OR goes to all the fills
@@ -476,26 +475,25 @@ def _run_plan(k: int, shapes: list, r: int) -> tuple:
             cls = list(map(classes.index, desc))
             for x, j in enumerate(cls):
                 folded[x].append((len(folds), j))
-            folds.append((c, [[d + f for d in classes] for f in fills]))
+            folds.append((key, [[d + f for d in classes] for f in fills]))
             members = [[x for x in range(R) if cls[x] == j] for j in range(len(classes))]
             where = {d + f: j for j, d in enumerate(classes) for f in fills}
             expand = _gather([where[o] for o in range(1 << key[2])])
-            writers[c].append((_layers(members, R), expand))
+            writers.append((_layers(members, R), expand))
         for xs in set(shared.values()):
             for x in range(R):
                 if xs >> x & 1:
                     near[x] |= xs
-    for c, cell_spots in spots.items():
-        span = 1 << list(chunks)[c][2]
-        owners = [sorted(cell_spots.get(o, ())) for o in range(span)]
-        writers[c].append((_layers(owners, R), None))
+    for key, cell_spots in spots.items():
+        owners = [sorted(cell_spots.get(o, ())) for o in range(1 << key[2])]
+        chunks[key].append((_layers(owners, R), None))
     # a run's work list holds its chunks, its folds, then its label bits
-    at, F = [], 0
+    at, F = {}, 0
     for key in chunks:
-        at.append(F)
+        at[key] = F
         F += 1 << key[2]
     fold_at = []
-    for c, per_fill in folds:
+    for _, per_fill in folds:
         fold_at.append(F)
         F += len(per_fill[0])
     fold_gets = [[_gather([at[c] + o for o in idx]) for idx in per_fill] for c, per_fill in folds]
@@ -508,7 +506,7 @@ def _run_plan(k: int, shapes: list, r: int) -> tuple:
         )
         for x in range(R)
     ]
-    return top, list(zip(chunks, writers)), fold_gets, gets, F
+    return top, list(chunks.items()), fold_gets, gets, F
 
 
 @lru_cache(maxsize=None)
