@@ -406,7 +406,7 @@ ORACLE_MAX_K = 20
 # log2 of the run length of oracle_build_brute, per model: the lengths that
 # built fastest.  The blocks of an edit run are nearly all neighbours, so
 # their neighbour lists grow fastest with the run there
-RUN_BITS = {"burst": 7, "edit": 6}
+_RUN_BITS = {"burst": 7, "edit": 6}
 
 
 def _gather(idx: list) -> Callable:
@@ -534,7 +534,7 @@ def oracle_build_brute(k: int, t: int, model: str) -> SyndromeOracle:
     longest = max(k - l1 + l2 for _, l1, l2 in shapes)
     # descendant -> bit mask of the labels of blocks reaching it
     used = [0] * (2 << longest)
-    r = min(k, RUN_BITS[model])
+    r = min(k, _RUN_BITS[model])
     R = 1 << r
     top, chunks, fold_gets, gets, F = _run_plan(k, shapes, r)
     labels = array("I")

@@ -28,11 +28,11 @@ from burstcodes.seqcore import (
     to_matrix,
 )
 from burstcodes.tburst import (
-    RUN_BITS,
     BlockLabeler,
     CtbParams,
     DensityParams,
     QaryBlockLabeler,
+    _RUN_BITS,
     _ball,
     _burst_candidates,
     _edit_candidates,
@@ -440,11 +440,11 @@ class TestOracles:
         for t in range(1, tmax + 1):
             low = {
                 r: [ball(x, t) for x in itertools.product((0, 1), repeat=r)]
-                for r in range(1, RUN_BITS[model] + 1)
+                for r in range(1, _RUN_BITS[model] + 1)
             }
             for k in range(2, kmax + 1):
                 blocks = [ball(u, t) for u in itertools.product((0, 1), repeat=k)]
-                for r in range(1, min(k - 1, RUN_BITS[model]) + 1):
+                for r in range(1, min(k - 1, _RUN_BITS[model]) + 1):
                     for T in range(1 << (k - r)):
                         run = blocks[T << r : (T + 1) << r]
                         for x, y in itertools.combinations(range(1 << r), 2):
