@@ -431,13 +431,13 @@ def _layers(owners: list, zero: int) -> list:
 def _run_plan(k: int, shapes: list, r: int) -> tuple:
     """The fixed part of oracle_build_brute's runs of 2^r blocks: the
     windows inside T, the chunks with their writers, the folds, what each x
-    reads, and where a run's label bits start in its work list."""
+    reads and marks, and where a run's label bits start in its work list."""
     R = 1 << r
     # a descendant is the top s bits of v, tagged, then the fill, then the
     # low bits v & keep
     top = []  # windows inside T: (a, tag, width, keep, fill offsets)
-    chunks = {}  # (shift, tag, width) of a chunk's base -> its writers
-    spots = {}  # chunk -> descendant -> the x that delete into it
+    chunks = {}  # (shift, tag, width) of a chunk's base -> its fill writers
+    marked = set()  # chunks that deletions reach
     folds = []  # per fill window, its chunk and its class offsets per fill
     deleted = [[] for _ in range(R)]  # per x, (chunk, offset) of its deletions
     folded = [[] for _ in range(R)]  # per x, (fold, class) of its fill windows
@@ -465,8 +465,8 @@ def _run_plan(k: int, shapes: list, r: int) -> tuple:
             writers = chunks.setdefault(key, [])
             desc = [d - (key[1] << key[2]) for d in desc]
             if not l2:
+                marked.add(key)
                 for x, d in enumerate(desc):
-                    spots.setdefault(key, {}).setdefault(d, set()).add(x)
                     deleted[x].append((key, d))
                 continue
             # the x of one class differ only inside the window: they read
@@ -484,9 +484,6 @@ def _run_plan(k: int, shapes: list, r: int) -> tuple:
             for x in range(R):
                 if xs >> x & 1:
                     near[x] |= xs
-    for key, cell_spots in spots.items():
-        owners = [sorted(cell_spots.get(o, ())) for o in range(1 << key[2])]
-        chunks[key].append((_layers(owners, R), None))
     # a run's work list holds its chunks, its folds, then its label bits
     at, F = {}, 0
     for key in chunks:
@@ -497,16 +494,19 @@ def _run_plan(k: int, shapes: list, r: int) -> tuple:
         fold_at.append(F)
         F += len(per_fill[0])
     fold_gets = [[_gather([at[c] + o for o in idx]) for idx in per_fill] for c, per_fill in folds]
-    # x reads its chunk descendants, its folds and its earlier neighbours'
-    # label bits
+    # x marks its label bit in the chunk descendants it deletes into, where
+    # the x after it read it; it reads those, its folds, and the label bits
+    # of its earlier neighbours that share no such descendant with it
+    marks = [{at[c] + d for c, d in deleted[x]} for x in range(R)]
     gets = [
         _gather(
-            sorted({at[c] + d for c, d in deleted[x]} | {fold_at[i] + j for i, j in folded[x]})
-            + [F + y for y in range(x) if near[x] >> y & 1]
+            sorted(marks[x] | {fold_at[i] + j for i, j in folded[x]})
+            + [F + y for y in range(x) if near[x] >> y & 1 and marks[x].isdisjoint(marks[y])]
         )
         for x in range(R)
     ]
-    return top, list(chunks.items()), fold_gets, gets, F
+    chunks = [(key, writers, at[key] if key in marked else None) for key, writers in chunks.items()]
+    return top, chunks, fold_gets, gets, list(map(sorted, marks)), F
 
 
 @lru_cache(maxsize=None)
@@ -523,10 +523,12 @@ def oracle_build_brute(k: int, t: int, model: str) -> SyndromeOracle:
       reach one chunk of descendants, the same fixed gathers for every T;
       a window across the boundary has a chunk of its own.
     Two blocks of a run share a descendant exactly when their low parts do
-    (the common prefix cancels), so the earlier neighbours of each x within
-    a run are found once, in the run T = 0.  A block's label is the least
-    one absent from its descendants as they stood before its run and from
-    its neighbours' labels; the run's labels are written back after.
+    (the common prefix cancels), so the neighbours within a run are found
+    once, in the run T = 0.  A block's label is the least one absent from
+    its descendants as they stood before its run, from the chunk
+    descendants that earlier blocks of the run marked with their labels,
+    and from the labels of its other earlier neighbours; the run's labels
+    are written back after.
     """
     if k > ORACLE_MAX_K:
         raise ValueError(f"oracle build limited to k <= {ORACLE_MAX_K}")
@@ -536,7 +538,7 @@ def oracle_build_brute(k: int, t: int, model: str) -> SyndromeOracle:
     used = [0] * (2 << longest)
     r = min(k, _RUN_BITS[model])
     R = 1 << r
-    top, chunks, fold_gets, gets, F = _run_plan(k, shapes, r)
+    top, chunks, fold_gets, gets, marks, F = _run_plan(k, shapes, r)
     labels = array("I")
     zero = [0] * R
     for T in range(1 << (k - r)):
@@ -548,29 +550,34 @@ def oracle_build_brute(k: int, t: int, model: str) -> SyndromeOracle:
         }
         before = reduce(_ors, (used[b : b + R] for b in bases), zero)
         work = []
-        for (sh, tg, w), _ in chunks:
+        for (sh, tg, w), _, _ in chunks:
             b = ((T >> sh) | tg) << w
             work += used[b : b + (1 << w)]
         for per_fill in fold_gets:
             work += reduce(_ors, [g(work) for g in per_fill])
         work += zero
         work.append(0)  # the 0 the writers' gathers take past a list's end
-        for i, f, get in zip(range(F, F + R), before, gets):
+        for i, f, get, mark in zip(range(F, F + R), before, gets, marks):
             f = reduce(or_, get(work), f)
             label = (~f & (f + 1)).bit_length() - 1
             labels.append(label)
-            work[i] = 1 << label
+            work[i] = bit = 1 << label
+            for d in mark:
+                work[d] |= bit
         bits = work[F:]
+        # the chunks that deletions reach, with this run's bits marked in
+        regions = [work[o : o + (1 << w)] if o is not None else () for (_, _, w), _, o in chunks]
         # both hold descendants as they were; drop them before they change
         del work, before
         for b in bases:
             used[b : b + R] = map(or_, used[b : b + R], bits)
-        for (sh, tg, w), writers in chunks:
+        for ((sh, tg, w), writers, _), region in zip(chunks, regions):
             b = ((T >> sh) | tg) << w
             parts = [used[b : b + (1 << w)]]
+            if region:
+                parts.append(region)
             for layers, expand in writers:
-                mask = reduce(_ors, [g(bits) for g in layers])
-                parts.append(expand(list(mask)) if expand else mask)
+                parts.append(expand(list(reduce(_ors, [g(bits) for g in layers]))))
             used[b : b + (1 << w)] = reduce(_ors, parts)
     return SyndromeOracle(
         k=k, t=t, model=model, labels=labels, label_space=max(labels) + 1
