@@ -404,8 +404,8 @@ def _ball(k: int, t: int, model: str) -> list:
 
 ORACLE_MAX_K = 20
 # log2 of the run length of oracle_build_brute, per model: the lengths that
-# built fastest.  The blocks of an edit run are nearly all neighbours, so
-# their neighbour lists grow fastest with the run there
+# built fastest.  An edit block reads the labels of nearly every earlier
+# block of its run, so edit runs are kept shorter
 _RUN_BITS = {"burst": 7, "edit": 6}
 
 
@@ -430,8 +430,9 @@ def _layers(owners: list, zero: int) -> list:
 
 def _run_plan(k: int, shapes: list, r: int) -> tuple:
     """The fixed part of oracle_build_brute's runs of 2^r blocks: the
-    windows inside T, the chunks with their writers, the folds, what each x
-    reads and marks, and where a run's label bits start in its work list."""
+    windows inside T, each chunk with its fill writers and, when deletions
+    reach it, its place in a run's work list, the folds, what each x reads
+    and marks, and where a run's label bits start in the work list."""
     R = 1 << r
     # a descendant is the top s bits of v, tagged, then the fill, then the
     # low bits v & keep
@@ -505,8 +506,8 @@ def _run_plan(k: int, shapes: list, r: int) -> tuple:
         )
         for x in range(R)
     ]
-    chunks = [(key, writers, at[key] if key in marked else None) for key, writers in chunks.items()]
-    return top, chunks, fold_gets, gets, list(map(sorted, marks)), F
+    places = [(key, writers, at[key] if key in marked else None) for key, writers in chunks.items()]
+    return top, places, fold_gets, gets, list(map(sorted, marks)), F
 
 
 @lru_cache(maxsize=None)
