@@ -496,8 +496,8 @@ def _run_plan(k: int, shapes: list, r: int) -> tuple:
         F += len(per_fill[0])
     fold_gets = [[_gather([at[c] + o for o in idx]) for idx in per_fill] for c, per_fill in folds]
     # x marks its label bit in the chunk descendants it deletes into, where
-    # the x after it read it; it reads those, its folds, and the label bits
-    # of its earlier neighbours that share no such descendant with it
+    # the later x of its run read it; it reads those, its folds, and the
+    # label bits of its earlier neighbours that share no such descendant
     marks = [{at[c] + d for c, d in deleted[x]} for x in range(R)]
     gets = [
         _gather(
