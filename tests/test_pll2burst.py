@@ -91,6 +91,20 @@ class TestPllEncode:
         digest = hashlib.sha256(repr(ys).encode()).hexdigest()
         assert digest == PLL_DIGEST
 
+    def test_decode_outcomes_pinned(self):
+        # the outcome of each input of _decode_inputs() is the decoded word
+        # or "refused"; the refusal messages are not pinned
+        def outcome(y, n):
+            try:
+                return pll_decode(y, n)
+            except NotDecodableError:
+                return "refused"
+
+        outs = [outcome(y, n) for y, n in _decode_inputs()]
+        assert 0 < outs.count("refused") < len(outs)
+        digest = hashlib.sha256(repr(outs).encode()).hexdigest()
+        assert digest == PLL_DECODE_DIGEST
+
     def test_resume_matches_rescan(self):
         # after a cut the search resumes cap bits before it; words with
         # several planted period-2 runs make windows that span a cut
@@ -131,6 +145,33 @@ def _rescan_encode(x):
 
 
 PLL_DIGEST = "ad00c31618add8e37f596bf9b452660ee08fdf16cb05cbd9bf6f2da679a8d773"
+
+
+PLL_DECODE_DIGEST = "7d23fd757324c5cc5c858a7a8d55e699f828d2a3ebf594e783a6670035111283"
+
+
+def _decode_inputs():
+    """Every y of n + 2 bits at n = 10, 11 and 12, then seeded y at n = 16
+    and 64: half uniform, half encodings of words with one to three planted
+    period-2 runs of cap - 1 to 2 cap + 4 bits, with one bit flipped."""
+    inputs = [
+        (y, n) for n in (10, 11, 12) for y in itertools.product((0, 1), repeat=n + 2)
+    ]
+    rng = random.Random("pll-decode")
+    for n in (16, 64):
+        cap = pll_cap(n)
+        for _ in range(500):
+            inputs.append((tuple(rng.randint(0, 1) for _ in range(n + 2)), n))
+            x = [rng.randint(0, 1) for _ in range(n)]
+            for _ in range(rng.randint(1, 3)):
+                length = min(n, rng.randint(cap - 1, 2 * cap + 4))
+                end = rng.randint(length, n)
+                a, b = rng.randint(0, 1), rng.randint(0, 1)
+                x[end - length : end] = ((a, b) * length)[:length]
+            y = list(pll_encode(tuple(x)))
+            y[rng.randrange(n + 2)] ^= 1
+            inputs.append((tuple(y), n))
+    return inputs
 
 
 def _digest_inputs():
