@@ -97,10 +97,7 @@ def vt_decode(xp: tuple, a: int, n: int) -> tuple:
 
 def _insert_zero_before_ones(xp: tuple, r1: int, bits: tuple) -> tuple:
     """Insert `bits` so exactly r1 ones of xp lie to their right."""
-    ones_total = sum(xp)
-    if r1 > ones_total:
-        raise NotDecodableError("insertion point out of range")
-    # rightmost position with exactly r1 ones to its right
+    # rightmost position with exactly r1 <= sum(xp) ones to its right
     seen = 0
     pos = len(xp)
     for i in range(len(xp) - 1, -1, -1):
@@ -109,8 +106,6 @@ def _insert_zero_before_ones(xp: tuple, r1: int, bits: tuple) -> tuple:
         pos = i
         if xp[i] == 1:
             seen += 1
-    if seen < r1:
-        pos = 0
     return xp[:pos] + bits + xp[pos:]
 
 
@@ -256,15 +251,11 @@ def induced_decode(up: tuple, a: int, b: int, c: int, n: int, q: int) -> tuple:
         raise ValueError("induced_decode expects length n-2")
     yp = interleaved_psi(up)
     delta = (a - vt_syndrome(yp)) % (2 * n)
-    # induced deletions never produce the prefix cases of the general
-    # decoder; the filters below drop those candidates
     candidates = _two_deletion_candidates(yp, delta, 2 * n)
     v_odd = (b - sum(up[0::2])) % q
     v_even = (c - sum(up[1::2])) % q
     found = set()
     for y in candidates:
-        if vt_syndrome(y) % (2 * n) != a or len(y) != n:
-            continue
         x = psi_inv(y)
         half = _reinsert_by_phi(up[0::2], v_odd, x[0::2])
         other = _reinsert_by_phi(up[1::2], v_even, x[1::2])

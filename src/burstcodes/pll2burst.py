@@ -77,25 +77,19 @@ def pll_decode(y: tuple, n: int) -> tuple:
     cap = pll_cap(n)
     if len(y) != n + 2:
         raise ValueError("pll_decode expects length n+2")
+    # a pop swaps cap bits for cap, so work keeps n + 2 >= cap bits (smaller
+    # n fails the re-encode); an encoding holds fewer than n records
     work = list(y)
-    steps = 0
-    while work[-2:] == [1, 1]:
-        steps += 1
-        if steps > n or len(work) < cap + 2:
-            raise NotDecodableError("malformed trailer")
+    for _ in range(n):
+        if work[-2:] != [1, 1]:
+            break
         rec = work[-cap:]
-        if rec[0] != 0:
-            raise NotDecodableError("malformed trailer record")
         a, b = rec[1], rec[2]
         i = _bits_to_int(rec[3 : 3 + clog])
         del work[-cap:]
-        if not 1 <= i <= len(work) + 1:
-            raise NotDecodableError("trailer position out of range")
-        pattern = [(a, b)[j % 2] for j in range(cap)]
-        work[i - 1 : i - 1] = pattern
-    if work[-2:] != [1, 0]:
-        raise NotDecodableError("malformed trailer terminator")
-    # a walk can undo records the encoder would not have made
+        work[i - 1 : i - 1] = [(a, b)[j % 2] for j in range(cap)]
+    # the re-encode refuses a bad record or marker, and records the encoder
+    # would not have made
     x = tuple(work[:-2])
     if pll_encode(x) != tuple(y):
         raise NotDecodableError("word is not an encoding")
@@ -173,7 +167,7 @@ def pbounded_decode(xp: tuple, params: PBoundedParams, m: int) -> tuple:
         ys = _two_deletion_candidates(yp, delta, 2 * P)
     found = set()
     for y in ys:
-        if len(y) != n or sum(y) % 3 != params.d:
+        if sum(y) % 3 != params.d:
             continue
         x = psi_inv(y)
         # the burst must lie inside [m, m+P-1], not only start there: with

@@ -80,6 +80,10 @@ class TestPllEncode:
     def test_min_length_enforced(self):
         with pytest.raises(ValueError):
             pll_encode((0, 1) * 2)
+        # the decoder's closing re-encode rejects such n whatever y holds
+        for y in ((1,) * 6, (0, 1, 0, 1, 1, 0)):
+            with pytest.raises(ValueError):
+                pll_decode(y, 4)
 
     def test_outputs_pinned(self):
         # the encodings of _digest_inputs(), recorded from the per-start
