@@ -33,12 +33,11 @@ from .seqcore import (
 )
 
 
-def default_delta(n: int, t: int, perm: bool = False) -> int:
-    """Window length delta: t * 2^(2t+1) * ceil(log n), one power of two more
-    for the permutation variant."""
+def default_delta(n: int, t: int) -> int:
+    """Window length delta: t * 2^(2t+1) * ceil(log n)."""
     if t < 1:
         raise ValueError("t must be at least 1")
-    return t * (1 << (2 * t + (2 if perm else 1))) * ceil_log2(n)
+    return t * (1 << (2 * t + 1)) * ceil_log2(n)
 
 
 @dataclass(frozen=True)

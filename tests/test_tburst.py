@@ -95,7 +95,6 @@ class TestIndicator:
         # [TRIVIAL] t * 2^(2t+1) * ceil(log n)
         assert default_delta(1024, 1) == 1 * 8 * 10
         assert default_delta(1024, 2) == 2 * 32 * 10
-        assert default_delta(1024, 2, perm=True) == 2 * 64 * 10
 
 
 @pytest.fixture(scope="module")
