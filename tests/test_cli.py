@@ -309,6 +309,30 @@ class TestSieveVerifyDecode:
         )
         assert code in (FAILURE, USAGE_ERROR)
 
+    def test_refusal_is_failure(self, tmp_path, capsys):
+        # no word of VT(psi(x)) = 0 mod 20 is within a 1-burst of 000000011
+        path = tmp_path / "book.json"
+        path.write_text(_book_json("levenshtein", 10, 2, {"a": 0}, []))
+        code, _, err = run(
+            capsys, "decode", "--book", str(path), "--received", "000000011"
+        )
+        assert code == FAILURE
+        assert "not decodable" in err
+
+    def test_verify_sweep_reports_failures(self, tmp_path, capsys):
+        # 0000000011 is not in the a = 0 code: its decoder refuses or
+        # mis-decodes each corruption, refusing the first
+        path = tmp_path / "book.json"
+        word = (0,) * 8 + (1, 1)
+        path.write_text(_book_json("levenshtein", 10, 2, {"a": 0}, [word]))
+        code, out, _ = run(
+            capsys, "verify", "--book", str(path), "--t", "2", "--sweep"
+        )
+        assert code == FAILURE
+        assert "confusability: pass" in out
+        assert "sweep: 19/19 failures; first: word 0000000011" in out
+        assert "got not decodable" in out
+
     def test_verify_reports_witness(self, tmp_path, capsys):
         # hand-build a book with confusable words
         from burstcodes.verify import Codebook, CodeSpec

@@ -132,6 +132,15 @@ class TestPermPipeline:
         pi = perm_book.words[0]
         assert pleqt_decode(pi, params, labeler) == pi
 
+    def test_full_length_non_codeword_refused(self, perm_book):
+        params, labeler = self.make(perm_book)
+        pi = next(
+            pi for pi in itertools.permutations(range(1, 9))
+            if not perm_member(pi, params, labeler)
+        )
+        with pytest.raises(NotDecodableError, match="not a codeword"):
+            pleqt_decode(pi, params, labeler)
+
     def test_non_permutation_rejected(self, perm_book):
         params, labeler = self.make(perm_book)
         with pytest.raises(ValueError):

@@ -406,14 +406,17 @@ class TestOracles:
         table = [oracle.labels[v] for v in range(1 << k)]
         assert _digest(table) == digest
 
-    def test_confusable_blocks_distinct_labels(self):
+    # (6, 2) and edit (5, 1) are built as one run; the others take several
+    @pytest.mark.parametrize("k, t", [(6, 2), (9, 2), (10, 3)])
+    def test_confusable_blocks_distinct_labels(self, k, t):
         # balls of tuples, apart from the oracle's own int descendants
-        oracle = oracle_build_brute(6, 2, "burst")
-        _assert_confusable_distinct(oracle, lambda u: deletion_ball(u, 2, upto=True))
+        oracle = oracle_build_brute(k, t, "burst")
+        _assert_confusable_distinct(oracle, lambda u: deletion_ball(u, t, upto=True))
 
-    def test_edit_model_confusability(self):
-        oracle = oracle_build_brute(5, 1, "edit")
-        _assert_confusable_distinct(oracle, lambda u: _edit_ball(u, 1))
+    @pytest.mark.parametrize("k, t", [(5, 1), (8, 2)])
+    def test_edit_model_confusability(self, k, t):
+        oracle = oracle_build_brute(k, t, "edit")
+        _assert_confusable_distinct(oracle, lambda u: _edit_ball(u, t))
 
     def test_size_cap(self):
         with pytest.raises(ValueError):
@@ -694,6 +697,15 @@ class TestCtbPipeline:
         params, labeler = self.make(ctb_book)
         u = ctb_book.words[0]
         assert ctb_decode(u, params, labeler) == u
+
+    def test_full_length_non_codeword_refused(self, ctb_book):
+        params, labeler = self.make(ctb_book)
+        u = next(
+            u for u in itertools.product(range(4), repeat=12)
+            if not ctb_member(u, params, labeler)
+        )
+        with pytest.raises(NotDecodableError, match="not a codeword"):
+            ctb_decode(u, params, labeler)
 
     def test_window_constraint_enforced(self):
         row_sums = (((0, 0), (0, 0)),) * 2  # well formed for q = 4

@@ -34,6 +34,7 @@ from burstcodes.cli import main
 from burstcodes.verify import (
     FAMILIES,
     Codebook,
+    CodeSpec,
     _adjacency,
     _max_independent_set,
     _packing_bound,
@@ -81,6 +82,16 @@ class TestSieve:
     def test_induced_n1_rejected(self):
         with pytest.raises(ValueError):
             sieve("induced", 1, q=3)
+
+    def test_loc_sampled_above_budget(self):
+        # 2^16 words exceed the budget, so the pool is drawn dense words:
+        # the book says it sampled and claims no full class size
+        book = sieve("loc", 16, t=2, delta=8, budget=1 << 10)
+        assert book.sampled
+        assert book.full_size is None
+        assert book.words
+        member = _loc_member_test(book.spec)
+        assert all(member(x) for x in book.words)
 
     def test_deterministic(self):
         a = sieve("tenengolts", 5, q=3)
@@ -361,6 +372,17 @@ class TestSweep:
         report = roundtrip_sweep(book, bad, 1)
         assert not report.ok
         assert len(report.failures) > 0
+
+    def test_refusals_are_recorded(self):
+        # 0000000011 has VT(psi) = 18 mod 20: the a = 0 decoder refuses 8 of
+        # its 19 corruptions and decodes the others to other words
+        w = (0,) * 8 + (1, 1)
+        book = Codebook(CodeSpec("levenshtein", 10, 2, 2, {"a": 0}), [w], 0.0)
+        report = roundtrip_sweep(book, book_decoder(book), 2)
+        assert report.total == len(report.failures) == 19
+        refusals = [got for _, _, got in report.failures if isinstance(got, str)]
+        assert len(refusals) == 8
+        assert all(got.startswith("not decodable: ") for got in refusals)
 
     def test_induced_channel(self):
         book = sieve("induced", 6, q=3)
