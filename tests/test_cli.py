@@ -308,13 +308,10 @@ class TestSieveVerifyDecode:
             capsys, "decode", "--book", str(book), "--received", "0" * 7
         )
         assert code in (FAILURE, USAGE_ERROR)
-
-    def test_refusal_is_failure(self, tmp_path, capsys):
         # no word of VT(psi(x)) = 0 mod 20 is within a 1-burst of 000000011
-        path = tmp_path / "book.json"
-        path.write_text(_book_json("levenshtein", 10, 2, {"a": 0}, []))
+        assert json.loads(book.read_text())["spec"]["params"] == {"a": 0}
         code, _, err = run(
-            capsys, "decode", "--book", str(path), "--received", "000000011"
+            capsys, "decode", "--book", str(book), "--received", "000000011"
         )
         assert code == FAILURE
         assert "not decodable" in err
