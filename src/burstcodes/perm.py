@@ -4,6 +4,7 @@ localization, overlapping ranking sequences, and the end-to-end decoder.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 from math import factorial
 
@@ -56,10 +57,10 @@ def lex_rank(pi: tuple) -> int:
     """1-based lexicographic rank of a permutation of [k] (factorial number
     system)."""
     check_permutation(pi)
-    return _rank(pi)
+    return _lehmer_rank(pi)
 
 
-def _rank(u: tuple) -> int:
+def _lehmer_rank(u: tuple) -> int:
     """lex_rank(prj(u)) for distinct values: the Lehmer code of u (each
     entry's place among the entries not yet read), in the factorial base."""
     rank, rest = 0, sorted(u)
@@ -70,8 +71,13 @@ def _rank(u: tuple) -> int:
     return rank + 1
 
 
+# keyed by a window of t + 1 of 1..n: n!/(n - t - 1)! keys at most (1,680
+# for S_8 at t = 3); lex_rank takes lists as well, so it calls _lehmer_rank
+_rank = lru_cache(maxsize=4096)(_lehmer_rank)
+
+
 def _ranks(pi: tuple, t: int) -> tuple:
-    return tuple(_rank(pi[i : i + t + 1]) for i in range(len(pi) - t))
+    return tuple(map(_rank, zip(*(pi[k:] for k in range(t + 1)))))
 
 
 def lex_unrank(rank: int, k: int) -> tuple:

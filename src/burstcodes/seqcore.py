@@ -6,8 +6,8 @@ are tuples of 0/1.  All positions in public APIs are 1-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import lt, mul, ne, xor
+from itertools import accumulate, repeat
+from operator import lshift, lt, mul, ne, xor
 from typing import Iterable, Iterator, Optional, Sequence as Seq
 
 MAX_Q = 1 << 16
@@ -173,7 +173,7 @@ def matrix_rows(q: int) -> int:
 def to_matrix(u: tuple, q: int) -> tuple:
     """Rows of the bit matrix A(u): row 1 is the LSB of every symbol."""
     check_symbols(u, q)
-    return tuple(tuple((s >> r) & 1 for s in u) for r in range(matrix_rows(q)))
+    return tuple([tuple([s >> r & 1 for s in u]) for r in range(matrix_rows(q))])
 
 
 def from_matrix(rows: Seq[tuple], q: int) -> tuple:
@@ -183,25 +183,28 @@ def from_matrix(rows: Seq[tuple], q: int) -> tuple:
     n = len(rows[0])
     if any(len(r) != n for r in rows):
         raise ValueError("ragged matrix")
-    u = []
-    for j in range(n):
-        val = sum(rows[r][j] << r for r in range(len(rows)))
-        if val >= q:
-            raise ValueError(f"column {j + 1} decodes to {val} >= q={q}")
-        u.append(val)
-    return tuple(u)
+    shifted = [map(lshift, row, repeat(r)) for r, row in enumerate(rows)]
+    u = tuple(map(sum, zip(*shifted)))
+    if u and max(u) >= q:
+        j, val = next((j, val) for j, val in enumerate(u) if val >= q)
+        raise ValueError(f"column {j + 1} decodes to {val} >= q={q}")
+    return u
+
+
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+_BIT_DIGITS = b"01" + b"x" * 254
 
 
 def _int_to_bits(value: int, width: int) -> tuple:
     """The low `width` bits of value, most significant first."""
-    return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
+    # a 1 above the width keeps the leading zeros in the binary text
+    text = format(value & ((1 << width) - 1) | 1 << width, "b")
+    return tuple(text[1:].encode().translate(_BIT_VALUES))
 
 
 def _bits_to_int(bits) -> int:
-    out = 0
-    for b in bits:
-        out = (out << 1) | b
-    return out
+    # any byte but 0 and 1 becomes a digit that int() refuses
+    return int(bytes(bits).translate(_BIT_DIGITS) or b"0", 2)
 
 
 def ceil_log2(n: int) -> int:

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce
 from itertools import product
-from operator import itemgetter, or_
+from operator import itemgetter, or_, sub
 from typing import Callable, Optional
 
 from .seqcore import (
@@ -141,7 +141,8 @@ def locate_burst(
         tail[j] = max(tail[j + 1], nxt - occ[j])
         nxt = occ[j]
     total = len(occ)
-    fills = [(bits, bytes(bits)) for bits in product((0, 1), repeat=tprime)]
+    if c0 not in range(4):  # fills[(c0 - kept) % 4] would wrap it into 0..3
+        raise NotDecodableError("localization syndromes inconsistent")
     starts = []
     for s in range(1, len(xp) + 2):
         # seg is the inserted bits with up to 2t - 1 bits of xp either side:
@@ -149,31 +150,23 @@ def locate_burst(
         # inserted bits, and xp's occurrences a..b-1 the ones they replace
         i0 = max(0, s - span)
         a, b = bisect_right(occ, s - span), bisect_left(occ, s)
-        left, right = xb[i0 : s - 1], xb[s - 1 : s + span - 2]
         kept = a + total - b
         kept_sum = pre[a] + pre[total] - pre[b] + tprime * (total - b)
-        kept_gap = max(head[a], tail[b])
-        before = occ[a - 1] if a else 0
-        after = occ[b] + tprime if b < total else end
-        for bits, fill in fills:
-            seg = left + fill + right
-            # w = 0^t 1^t cannot overlap itself, so count finds every one
-            count = kept + seg.count(wb)
-            if count % 4 != c0:
-                continue
-            new = [
-                i0 + k + 1
-                for k in range(len(seg) - span + 1)
-                if seg.startswith(wb, k)
-            ]
+        fills = _seg_table(wb, tprime, xb[i0 : s - 1], xb[s - 1 : s + span - 2])
+        # only the fills whose count makes the pattern count c0 mod 4
+        for bits, cnt, cnt_sum, first, last, inner in fills[(c0 - kept) % 4]:
+            count = kept + cnt
             # VT of the gap vector: (count + 1) * end - sum of the positions
-            if ((count + 1) * end - kept_sum - sum(new)) % (2 * n) != c1:
+            if ((count + 1) * end - kept_sum - cnt * i0 - cnt_sum) % (2 * n) != c1:
                 continue
-            gap, prev = kept_gap, before
-            for o in new:
-                gap = max(gap, o - prev)
-                prev = o
-            if max(gap, after - prev) > dp.delta:
+            kept_gap = max(head[a], tail[b])
+            before = occ[a - 1] if a else 0
+            after = occ[b] + tprime if b < total else end
+            if cnt:
+                gap = max(kept_gap, i0 + first - before, inner, after - i0 - last)
+            else:
+                gap = max(kept_gap, after - before)
+            if gap > dp.delta:
                 continue
             if extra_check is None or extra_check(xp[: s - 1] + bits + xp[s - 1 :]):
                 starts.append(s)
@@ -181,6 +174,24 @@ def locate_burst(
     if not starts:
         raise NotDecodableError("localization syndromes inconsistent")
     return Interval(starts[0], starts[-1] + tprime - 1)
+
+
+@lru_cache(maxsize=1 << 14)
+def _seg_table(wb: bytes, tprime: int, left: bytes, right: bytes) -> tuple:
+    """The tprime-bit fills grouped by their count of wb mod 4, each group in
+    product order: per fill, the fill and the count, position sum, first and
+    last position (1-based in seg = left + fill + right) and largest gap
+    between neighbours of the occurrences of wb in seg.  left and right hold
+    fewer than 2t bits each, so there are about 2^(4t) * t keys at most:
+    512 at t = 2, 12,288 at t = 3."""
+    out = ([], [], [], [])
+    for bits in product((0, 1), repeat=tprime):
+        seg = left + bytes(bits) + right
+        new = [k + 1 for k in range(len(seg)) if seg.startswith(wb, k)]
+        ends = (new[0], new[-1]) if new else (0, 0)
+        inner = max(map(sub, new[1:], new), default=0)
+        out[len(new) % 4].append((bits, len(new), sum(new), *ends, inner))
+    return tuple(map(tuple, out))
 
 
 # ---------------------------------------------------------------------------

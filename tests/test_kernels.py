@@ -1,16 +1,19 @@
 """The syndrome primitives and period-2 scans against per-position loops.
 
-The package computes these maps with C-level iterators and bytes searches.
+The package computes these maps with C-level iterators and bytes searches,
+and locates a burst from cached summaries of the segment around each start.
 The references below are the loops they replaced; every kernel must give the
 same value, with the same types (book digests hash these tuples through
 JSON, where a bool would print as true), and refuse the same inputs.
 """
 import random
-from itertools import product
+from bisect import bisect_left, bisect_right
+from itertools import permutations, product
 
 import pytest
 
-from burstcodes import classic, seqcore
+from burstcodes import classic, perm, seqcore, tburst
+from burstcodes.seqcore import Interval, NotDecodableError
 
 BINARY = [x for n in range(13) for x in product((0, 1), repeat=n)]
 
@@ -98,13 +101,115 @@ def ref_interleave(uo, ue):
     return tuple(out)
 
 
+def ref_to_matrix(u, q):
+    seqcore.check_symbols(u, q)
+    return tuple(
+        tuple((s >> r) & 1 for s in u) for r in range(seqcore.matrix_rows(q))
+    )
+
+
+def ref_from_matrix(rows, q):
+    if not rows:
+        raise ValueError("empty matrix")
+    n = len(rows[0])
+    if any(len(r) != n for r in rows):
+        raise ValueError("ragged matrix")
+    u = []
+    for j in range(n):
+        val = sum(rows[r][j] << r for r in range(len(rows)))
+        if val >= q:
+            raise ValueError(f"column {j + 1} decodes to {val} >= q={q}")
+        u.append(val)
+    return tuple(u)
+
+
+def ref_int_to_bits(value, width):
+    return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
+
+
+def ref_bits_to_int(bits):
+    out = 0
+    for b in bits:
+        out = (out << 1) | b
+    return out
+
+
+def ref_overlap_ranks(pi, t):
+    return tuple(perm.lex_rank(perm.prj(pi[i : i + t + 1])) for i in range(len(pi) - t))
+
+
+def ref_locate_burst(xp, c0, c1, dp, extra_check=None):
+    """The scan locate_burst replaced: every fill at every start builds its
+    segment and searches it for w."""
+    seqcore.check_binary(xp)
+    n, t = dp.n, dp.t
+    tprime = n - len(xp)
+    if tprime == 0:
+        if not tburst.loc_member(xp, c0, c1, dp):
+            raise NotDecodableError("input is not a codeword")
+        return Interval(1, 1)
+    if not 1 <= tprime <= t:
+        raise ValueError("burst longer than t")
+    if n < 2 * t:
+        raise ValueError("sequence shorter than the pattern")
+    wb, span = bytes(dp.w), 2 * t
+    xb = bytes(xp)
+    end = n - span + 2
+    occ = [i + 1 for i in range(len(xb) - span + 1) if xb.startswith(wb, i)]
+    pre, head, prev = [0], [0], 0
+    for o in occ:
+        pre.append(pre[-1] + o)
+        head.append(max(head[-1], o - prev))
+        prev = o
+    tail, nxt = [0] * (len(occ) + 1), end - tprime
+    for j in range(len(occ) - 1, -1, -1):
+        tail[j] = max(tail[j + 1], nxt - occ[j])
+        nxt = occ[j]
+    total = len(occ)
+    fills = [(bits, bytes(bits)) for bits in product((0, 1), repeat=tprime)]
+    starts = []
+    for s in range(1, len(xp) + 2):
+        i0 = max(0, s - span)
+        a, b = bisect_right(occ, s - span), bisect_left(occ, s)
+        left, right = xb[i0 : s - 1], xb[s - 1 : s + span - 2]
+        kept = a + total - b
+        kept_sum = pre[a] + pre[total] - pre[b] + tprime * (total - b)
+        kept_gap = max(head[a], tail[b])
+        before = occ[a - 1] if a else 0
+        after = occ[b] + tprime if b < total else end
+        for bits, fill in fills:
+            seg = left + fill + right
+            count = kept + seg.count(wb)
+            if count % 4 != c0:
+                continue
+            new = [
+                i0 + k + 1
+                for k in range(len(seg) - span + 1)
+                if seg.startswith(wb, k)
+            ]
+            if ((count + 1) * end - kept_sum - sum(new)) % (2 * n) != c1:
+                continue
+            gap, prev = kept_gap, before
+            for o in new:
+                gap = max(gap, o - prev)
+                prev = o
+            if max(gap, after - prev) > dp.delta:
+                continue
+            if extra_check is None or extra_check(xp[: s - 1] + bits + xp[s - 1 :]):
+                starts.append(s)
+                break
+    if not starts:
+        raise NotDecodableError("localization syndromes inconsistent")
+    return Interval(starts[0], starts[-1] + tprime - 1)
+
+
 def _outcome(f, *args):
     """repr of the value, so that 1 and True or a tuple and a list differ,
-    or the type and message of the ValueError raised."""
+    or the type and message of the ValueError or NotDecodableError raised."""
     try:
         return repr(f(*args))
-    except ValueError as exc:
-        return f"ValueError: {exc}"
+    except (ValueError, NotDecodableError) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 KERNELS = [
@@ -144,3 +249,133 @@ def test_interleave_matches_reference():
                     ref_interleave(uo, ue)
                 with pytest.raises((IndexError, ValueError)):
                     classic._interleave(uo, ue)
+
+
+def test_matrix_conversions_match_reference():
+    # the seeded q-ary words at the least q they fit, at 16 and at 3, then
+    # every matrix of up to three rows of n <= 4 bits (two rows at n = 4),
+    # which also reaches the columns decoding to q or more, and ragged ones
+    for u in QARY + [(), (0,), (5, 0, 2)]:
+        for q in {max(u, default=0) + 1, 16, 3}:
+            for x in (u, list(u)):
+                assert _outcome(seqcore.to_matrix, x, q) == _outcome(
+                    ref_to_matrix, x, q
+                ), (x, q)
+    for n in range(5):
+        rows = list(product((0, 1), repeat=n))
+        for m in (m for k in (1, 2, 3)[: 5 - n] for m in product(rows, repeat=k)):
+            for q in (2, 3, 5, 8):
+                for x in (m, list(m), [list(r) for r in m]):
+                    assert _outcome(seqcore.from_matrix, x, q) == _outcome(
+                        ref_from_matrix, x, q
+                    ), (x, q)
+    for m in ((), ((1, 0), (1,)), ((True, False), (True, True))):
+        assert _outcome(seqcore.from_matrix, m, 4) == _outcome(ref_from_matrix, m, 4)
+    with pytest.raises(ValueError, match=r"^column 2 decodes to 5 >= q=5$"):
+        seqcore.from_matrix(((0, 1, 1), (1, 0, 1), (0, 1, 1)), 5)
+
+
+def test_bit_conversions_match_reference():
+    rng = random.Random("bits")
+    for width in range(131):
+        for _ in range(20):
+            bits = tuple(rng.randrange(2) for _ in range(width))
+            for x in (bits, list(bits)):
+                assert _outcome(seqcore._bits_to_int, x) == _outcome(
+                    ref_bits_to_int, x
+                )
+            # negative values and values wider than the width as well
+            for v in (rng.getrandbits(width + 3), -rng.getrandbits(width + 3)):
+                assert _outcome(seqcore._int_to_bits, v, width) == _outcome(
+                    ref_int_to_bits, v, width
+                ), (v, width)
+    assert seqcore._bits_to_int(()) == 0
+    # a symbol other than 0 and 1 is refused, not folded into the value
+    for bits in ((1, 2), (0, 48), [1, 256], (-1,)):
+        with pytest.raises(ValueError):
+            seqcore._bits_to_int(bits)
+    assert seqcore._int_to_bits(5, 0) == ()
+    assert seqcore._int_to_bits(-1, 3) == (1, 1, 1)
+
+
+def test_check_symbols_names_first_offender():
+    seqcore.check_symbols((), 2)
+    seqcore.check_symbols([3, 0, 2], 4)
+    for u, bad in (((1, 5, -1, 9), 5), ([0, -2, 7], -2), ((3, 3, 4), 4)):
+        with pytest.raises(ValueError, match=rf"^symbol {bad} out of range for q=4$"):
+            seqcore.check_symbols(u, 4)
+    # q is checked before any symbol
+    for q in (1, seqcore.MAX_Q + 1):
+        with pytest.raises(ValueError, match=r"^alphabet size q must be in"):
+            seqcore.check_symbols((q + 5,), q)
+
+
+def test_window_ranks_match_reference():
+    assert perm.lex_rank([2, 3, 1]) == perm.lex_rank((2, 3, 1)) == 4
+    for pi in permutations(range(1, 7)):
+        for t in (1, 2, 3):
+            assert perm.overlap_ranks(pi, t) == ref_overlap_ranks(pi, t)
+    assert perm.overlap_ranks([3, 1, 2, 4], 2) == ref_overlap_ranks((3, 1, 2, 4), 2)
+
+
+def _balanced(x):
+    return sum(x) == (len(x) + 1) // 2
+
+
+def test_locate_burst_matches_scan_exhaustively():
+    # every received word at n = 8 against every residue pair, with and
+    # without a balance check
+    for t, delta in ((1, 4), (2, 6)):
+        dp = tburst.DensityParams(8, t, delta)
+        for tprime in range(1, t + 1):
+            for xp in product((0, 1), repeat=8 - tprime):
+                for c0, c1 in product(range(4), range(16)):
+                    for check in (None, _balanced):
+                        args = (xp, c0, c1, dp, check)
+                        assert _outcome(tburst.locate_burst, *args) == _outcome(
+                            ref_locate_burst, *args
+                        ), args
+    # from t = 3 on, two new occurrences can lie more than delta apart:
+    # 00011 + 1?0 + 00111 has w at 1 and 8, a gap of 7 > 6, and no other
+    # reinsertion passes residues (2, 18) and the gaps, so it is refused
+    dp, xp = tburst.DensityParams(13, 3, 6), (0, 0, 0, 1, 1, 0, 0, 1, 1, 1)
+    for c0, c1 in product(range(4), range(26)):
+        args = (xp, c0, c1, dp)
+        assert _outcome(tburst.locate_burst, *args) == _outcome(
+            ref_locate_burst, *args
+        ), args
+    with pytest.raises(NotDecodableError):
+        tburst.locate_burst(xp, 2, 18, dp)
+
+
+def _dense_word(rng, dp):
+    """A seeded dense word: copies of w, each followed by at most
+    delta - 2t random bits, cut to length n; drawn again until dense."""
+    while True:
+        x = ()
+        while len(x) < dp.n:
+            run = rng.randrange(dp.delta - 2 * dp.t + 1)
+            x += dp.w + tuple(rng.randrange(2) for _ in range(run))
+        x = x[: dp.n]
+        if tburst.loc_residues(x, dp) is not None:
+            return x
+
+
+@pytest.mark.parametrize("n, t, delta", [(32, 2, 7), (64, 3, 20)])
+def test_locate_burst_matches_scan_seeded(n, t, delta):
+    # bursts of dense words located with their own residues and with a
+    # random pair, c0 out of range included (a book may hold any integer),
+    # and the codeword and overlong-burst cases
+    rng = random.Random(f"locate/{n}")
+    dp = tburst.DensityParams(n, t, delta)
+    for _ in range(150):
+        x = _dense_word(rng, dp)
+        c0, c1 = tburst.loc_residues(x, dp)
+        d = rng.randrange(t + 2)
+        s = rng.randrange(n - d + 1)
+        xp = x[:s] + x[s + d :]
+        other = (rng.randrange(-2, 7), rng.randrange(2 * n))
+        for args in ((xp, c0, c1, dp), (xp, *other, dp)):
+            assert _outcome(tburst.locate_burst, *args) == _outcome(
+                ref_locate_burst, *args
+            ), args
