@@ -12,8 +12,8 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache, partial, reduce
-from itertools import product
+from functools import cached_property, lru_cache, partial, reduce
+from itertools import accumulate, product
 from operator import itemgetter, or_, sub
 from typing import Callable, Optional
 
@@ -386,6 +386,15 @@ class SyndromeOracle:
     labels: array = field(repr=False)
     label_space: int = 0
 
+    @cached_property
+    def by_label(self) -> tuple:
+        """The blocks in order of label, and the offset in it of each label's
+        blocks; built by the first solve that reads it."""
+        label = self.labels.__getitem__
+        order = array("I", sorted(range(len(self.labels)), key=label))
+        starts = [bisect_left(order, i, key=label) for i in range(self.label_space + 1)]
+        return order, array("I", starts)
+
 
 def _ball(k: int, t: int, model: str) -> list:
     """The error ball of a k-bit block as substring replacements (s, l1, l2):
@@ -612,18 +621,19 @@ class QaryBlockLabeler:
             o.label_space ** self.nrows for o in oracles.values()
         )
         self.alphabet = alphabet
+        self.allowed = frozenset(alphabet)
+        # row r: byte r >> 3 of each symbol, and a table that sends it to its bit
+        self.row_bits = [
+            (r >> 3, bytes(b"01"[s >> (r & 7) & 1] for s in range(256))) for r in range(self.nrows)
+        ]
 
     def rows(self, u: tuple) -> tuple:
         """The rows of u's bit matrix, each as an int whose most significant
         bit is that of u's first symbol."""
         check_symbols(u, 1 << self.nrows)
-        rows = []
-        for r in range(self.nrows):
-            row = 0
-            for s in u:
-                row = (row << 1) | ((s >> r) & 1)
-            rows.append(row)
-        return tuple(rows)
+        wide = self.nrows > 8  # each symbol's high byte holds the rows above the 8th
+        planes = [bytes(s & 255 for s in u), bytes(s >> 8 for s in u)] if wide else [bytes(u)]
+        return tuple([int(planes[p].translate(bits) or b"0", 2) for p, bits in self.row_bits])
 
     def word(self, rows: tuple, k: int) -> tuple:
         """Inverse of `rows` for a word of k symbols."""
@@ -642,24 +652,37 @@ class QaryBlockLabeler:
             lab = lab * oracle.label_space + oracle.labels[(row >> shift) & mask]
         return lab
 
-    def solve(self, zrows: tuple, zlen: int, k: int, slots, target: int) -> set:
+    def solve(self, zrows: list, zlen: int, k: int, slots, target: int) -> set:
         """Every k-symbol block, as its rows, with label `target` that a
         slot fill makes from the zlen-symbol word z given by `zrows`.  A slot
         (a, l1, l2) puts l1 symbols of the alphabet in place of the l2
         symbols of z from its a-th (1-based).
 
         Solved row by row: target splits into one label digit per row, each
-        row keeps its l1-bit fills whose row label is its digit, and the
-        rows are joined column by column into fills of alphabet symbols."""
-        oracle = self.oracles[k]
-        space, labels = oracle.label_space, oracle.labels
+        row keeps the blocks of its digit that a slot makes from z's row, and
+        the rows are joined into blocks whose filled columns are alphabet
+        symbols.  A row's blocks are read from the oracle's label index when
+        a label holds fewer blocks than the slots fill (2^k < label_space *
+        the sum of 2^l1), and from every slot's fills otherwise."""
+        space = self.oracles[k].label_space
         if target >= space ** self.nrows:
             return set()
-        digits = []
-        for _ in range(self.nrows):
-            target, digit = divmod(target, space)
-            digits.append(digit)
-        digits.reverse()
+        digits = [target // space**r % space for r in reversed(range(self.nrows))]
+        slots = list(slots)
+        if 1 << k < space * sum([1 << l1 for _, l1, _ in slots]):
+            return self._solve_indexed(zrows, zlen, k, slots, digits)
+        return self._solve_scanned(zrows, zlen, k, slots, digits)
+
+    def _fits(self, block: tuple, low: int, l1: int) -> bool:
+        """Whether the block's columns low .. low + l1 - 1, from its end, hold alphabet symbols."""
+        return all(
+            sum(((v >> j) & 1) << r for r, v in enumerate(block)) in self.allowed
+            for j in range(low, low + l1)
+        )
+
+    def _solve_scanned(self, zrows, zlen, k, slots, digits) -> set:
+        """solve's blocks from each slot's l1-bit fills of every row."""
+        labels = self.oracles[k].labels
         found = set()
         for a, l1, l2 in slots:
             low = zlen - a + 1 - l2  # bits of z after the replaced ones
@@ -676,16 +699,40 @@ class QaryBlockLabeler:
                 fills.append(row)
             else:
                 blocks = product(*fills)
-                if len(self.alphabet) < 1 << self.nrows:
-                    blocks = (
-                        block for block in blocks
-                        if all(
-                            sum(((v >> j) & 1) << r for r, v in enumerate(block))
-                            in self.alphabet
-                            for j in range(low, low + l1)
-                        )
-                    )
+                if len(self.allowed) < 1 << self.nrows:
+                    blocks = (b for b in blocks if self._fits(b, low, l1))
                 found.update(blocks)
+        return found
+
+    def _solve_indexed(self, zrows, zlen, k, slots, digits) -> set:
+        """solve's blocks from the oracle's label index.  A slot (a, l1, l2)
+        makes block v from z's row exactly when a - 1 <= pre and low <= suf,
+        the lengths of the common prefix and suffix of v and z's row."""
+        order, starts = self.oracles[k].by_label
+        shapes = [(a - 1, l1, zlen - a + 1 - l2) for a, l1, l2 in slots]
+        # need[p]: the least low of a slot that keeps at most p top bits
+        need = [zlen + 1] * (zlen + 1)
+        for head, _, low in shapes:
+            need[head] = min(need[head], low)
+        need = list(accumulate(need, min))
+        fills = []
+        for z, digit in zip(zrows, digits):
+            row = []
+            for v in order[starts[digit] : starts[digit + 1]]:
+                pre = zlen - ((v >> (k - zlen)) ^ z).bit_length()
+                diff = v ^ z | 1 << zlen  # the bit past z's caps suf at zlen
+                suf = (diff & -diff).bit_length() - 1
+                if need[pre] <= suf:
+                    row.append((v, pre, suf))
+            if not row:
+                return set()
+            fills.append(row)
+        found = set()
+        for joined in product(*fills):
+            block, pres, sufs = zip(*joined)
+            pre, suf = min(pres), min(sufs)
+            if any(h <= pre and lo <= suf and self._fits(block, lo, l1) for h, l1, lo in shapes):
+                found.add(block)
         return found
 
 
@@ -741,12 +788,16 @@ def padded_length(n: int, P: int) -> int:
 def block_syndromes(x: tuple, P: int, labeler) -> tuple:
     """((d1, e1), (d2, e2)): sums of block labels and of their squares, taken
     mod the labeler modulus, over the even and the odd blocks."""
-    L = padded_length(len(x), P)
-    rows = labeler.rows(x + (0,) * (L - len(x)))
-    even, odd = block_layout(L, P)
+    return _block_sums(labeler.rows(x), len(x), P, labeler)
+
+
+def _block_sums(rows, n: int, P: int, labeler) -> tuple:
+    """block_syndromes of the n-symbol word given by its rows."""
+    L = padded_length(n, P)
+    rows = [r << (L - n) for r in rows]
     M = labeler.modulus
     sums = []
-    for spans in (even, odd):
+    for spans in block_layout(L, P):
         labs = [labeler.label(rows, L - sp.hi, len(sp)) for sp in spans]
         sums.append((sum(labs) % M, sum(l * l for l in labs) % M))
     return tuple(sums)
@@ -799,11 +850,15 @@ def cpb_decode(
         return xp
     if len(window) > P:
         raise NotDecodableError("window exceeds the block cover length")
+    return labeler.word(_cpb_rows(labeler.rows(xp), n, tprime, window, sums, labeler, P), n)
+
+
+def _cpb_rows(rows, n: int, tprime: int, window: Interval, sums: tuple, labeler, P: int) -> tuple:
+    """cpb_decode of the word n - tprime symbols long given by its rows, for
+    1 <= tprime and a window of at most P symbols: the rows of the answer."""
     L = padded_length(n, P)
-    xpad = xp + (0,) * (L - n)
-    rows = labeler.rows(xpad)
-    even, odd = block_layout(L, P)
-    for parity, spans in ((0, even), (1, odd)):
+    rows = [r << (L - n) for r in rows]  # the rows of xp padded with zeros
+    for parity, spans in enumerate(block_layout(L, P)):
         hit = [j for j, sp in enumerate(spans) if sp.contains(window)]
         if hit:
             damaged = hit[0]
@@ -813,8 +868,8 @@ def cpb_decode(
     d_sum, e_sum = sums[parity]
     M = labeler.modulus
     sp = spans[damaged]
-    # xpad is tprime short, so a block ends L - hi bits above the end of
-    # xpad once the burst lies before it, tprime bits fewer otherwise
+    # the padded xp is tprime short, so a block ends L - hi bits above its
+    # end once the burst lies before it, tprime bits fewer otherwise
     intact_labels = [
         labeler.label(rows, L - b.hi - (tprime if b.hi <= sp.lo else 0), len(b))
         for j, b in enumerate(spans)
@@ -825,7 +880,8 @@ def cpb_decode(
         raise NotDecodableError("block syndromes inconsistent")
     block_len = len(sp)
     zlen = block_len - tprime
-    zrows = tuple((r >> (L - sp.hi)) & ((1 << zlen) - 1) for r in rows)
+    tail = L - sp.hi
+    zrows = [(r >> tail) & ((1 << zlen) - 1) for r in rows]
     rel_lo = max(1, window.lo - sp.lo + 1)
     rel_hi = min(block_len, window.hi - sp.lo + 1)
     oracle = labeler.oracles[block_len]
@@ -836,10 +892,12 @@ def cpb_decode(
     found = labeler.solve(zrows, zlen, block_len, slots, missing)
     if len(found) != 1:
         raise NotDecodableError("no unique block consistent with the sums")
-    block = labeler.word(found.pop(), block_len)
-    xrec = xpad[: sp.lo - 1] + block + xpad[sp.hi - tprime :]
-    x = xrec[:n]
-    if block_syndromes(x, P, labeler) != sums:
+    # the block's rows replace the zlen received bits; those past n drop
+    x = [
+        ((r >> (tail + zlen) << block_len | v) << tail | r & ((1 << tail) - 1)) >> (L - n)
+        for r, v in zip(rows, found.pop())
+    ]
+    if _block_sums(x, n, P, labeler) != sums:
         raise NotDecodableError("reconstruction fails the stored sums")
     return x
 
@@ -909,14 +967,14 @@ def ctb_decode(up: tuple, params: CtbParams, labeler: BlockLabeler) -> tuple:
         raise ValueError("burst longer than t")
     rows_rx = to_matrix(up, params.q)
     window = locate_burst(rows_rx[0], params.c0, params.c1, params.density)
+    if len(window) > params.P:
+        raise NotDecodableError("window exceeds the block cover length")
     rows = [
-        cpb_decode(
-            rows_rx[i], n, window, params.row_sums[i], labeler, params.P
-        )
-        for i in range(len(rows_rx))
+        _int_to_bits(_cpb_rows((_bits_to_int(r),), n, tprime, window, s, labeler, params.P)[0], n)
+        for r, s in zip(rows_rx, params.row_sums)
     ]
     try:
-        u = from_matrix(tuple(rows), params.q)
+        u = from_matrix(rows, params.q)
     except ValueError as exc:  # a column decodes to a symbol >= q
         raise NotDecodableError(str(exc)) from None
     if not any(burst_starts(u, up, params.t)):

@@ -522,6 +522,13 @@ class TestBlockDecode:
         with pytest.raises(NotDecodableError):
             cpb_decode(x[:-1], n, Interval(1, 6), sums, labeler, P)
 
+    def test_oversized_window_refused_before_the_symbol_check(self, labeler):
+        # the window is checked before the word becomes rows, so a word
+        # the labeler cannot read is refused, not rejected with ValueError
+        sums = ((0, 0), (0, 0))
+        with pytest.raises(NotDecodableError, match="window exceeds the block cover length"):
+            cpb_decode((2, 0, 1, 0, 1, 0, 1), 8, Interval(1, 6), sums, labeler, 4)
+
 
 def _qary_filter(labeler, z: tuple, k: int, slots: list, target: int) -> set:
     """The candidate filter the row-wise solve replaced: every fill of every
@@ -652,10 +659,43 @@ class TestBlockSolve:
                 block = z[: a - 1] + m + z[a - 1 + l2 :]
                 target = labeler.label(labeler.rows(block), 0, k)
             want = _qary_filter(labeler, z, k, slots, target)
-            assert labeler.solve(labeler.rows(z), zlen, k, slots, target) == want
+            zrows = labeler.rows(z)
+            assert labeler.solve(zrows, zlen, k, slots, target) == want
+            # both sources of solve, whichever of them it picks here
+            space, nrows = oracle.label_space, labeler.nrows
+            if target < space**nrows:
+                digits = [target // space**r % space for r in reversed(range(nrows))]
+                assert labeler._solve_indexed(zrows, zlen, k, slots, digits) == want
+                assert labeler._solve_scanned(zrows, zlen, k, slots, digits) == want
             sizes[min(len(want), 2)] += 1
         assert sizes[0] and sizes[1], sizes
         assert sizes[2] or kind == "edit", sizes
+
+    def test_label_index_is_built_once_per_oracle(self):
+        # verify builds a labeler per call, so the index solve reads lives
+        # on the shared oracle, not on a labeler
+        first, second = _edit_labeler(), _edit_labeler()
+        oracle = first.oracles[12]
+        vars(oracle).pop("by_label", None)
+        z = (1, 2, 3, 4, 5, 6, 1, 2, 3, 4)
+        slots = list(_edit_candidates(10, 1, 12, 2, 2))  # l1 up to 4: the index
+        first.solve(first.rows(z), 10, 12, slots, 0)
+        index = vars(oracle)["by_label"]
+        second.solve(second.rows(z), 10, 12, slots, 0)
+        assert vars(second.oracles[12])["by_label"] is index
+
+    @pytest.mark.parametrize("q", [2, 7, 256, 257, 1 << 16])
+    def test_rows_match_the_bit_matrix(self, q):
+        # wider than 8 rows, a symbol's high byte carries the rows above 8
+        labeler = QaryBlockLabeler(q, {4: oracle_build_brute(4, 1, "burst")}, (0, 1))
+        rng = random.Random(q)
+        for n in (0, 1, 12, 40):
+            u = tuple(rng.randrange(q) for _ in range(n))
+            rows = labeler.rows(u)
+            assert rows == tuple(map(_bits_to_int, to_matrix(u, 1 << labeler.nrows)))
+            assert labeler.word(rows, n) == u
+        with pytest.raises(ValueError, match="out of range"):
+            labeler.rows((0, 1 << labeler.nrows))
 
     def test_decode_outcomes_match_recorded_digest(self):
         # the digest was recorded from the q-ary candidate filter
