@@ -388,12 +388,16 @@ class SyndromeOracle:
 
     @cached_property
     def by_label(self) -> tuple:
-        """The blocks in order of label, and the offset in it of each label's
-        blocks; built by the first solve that reads it."""
-        label = self.labels.__getitem__
-        order = array("I", sorted(range(len(self.labels)), key=label))
-        starts = [bisect_left(order, i, key=label) for i in range(self.label_space + 1)]
-        return order, array("I", starts)
+        """The blocks sorted by label, and the offset of each label's blocks in them."""
+        key, space = self.labels.__getitem__, range(self.label_space + 1)
+        order = array("I", sorted(range(len(self.labels)), key=key))
+        return order, array("I", [bisect_left(order, i, key=key) for i in space])
+
+    @cached_property
+    def may_index(self) -> bool:
+        """Whether a burst or edit of at most t symbols can fill more blocks than a label holds."""
+        fills = self.k << self.t if self.model == "burst" else self.k * ((2 << 2 * self.t) - 1)
+        return 1 << self.k < self.label_space * fills
 
 
 def _ball(k: int, t: int, model: str) -> list:
@@ -631,8 +635,9 @@ class QaryBlockLabeler:
         """The rows of u's bit matrix, each as an int whose most significant
         bit is that of u's first symbol."""
         check_symbols(u, 1 << self.nrows)
-        wide = self.nrows > 8  # each symbol's high byte holds the rows above the 8th
-        planes = [bytes(s & 255 for s in u), bytes(s >> 8 for s in u)] if wide else [bytes(u)]
+        # plane p: byte p of every symbol, which holds rows 8p .. 8p + 7
+        wide = range((self.nrows + 7) >> 3) if self.nrows > 8 else ()
+        planes = [bytes(s >> 8 * p & 255 for s in u) for p in wide] or [bytes(u)]
         return tuple([int(planes[p].translate(bits) or b"0", 2) for p, bits in self.row_bits])
 
     def word(self, rows: tuple, k: int) -> tuple:
@@ -660,25 +665,27 @@ class QaryBlockLabeler:
 
         Solved row by row: target splits into one label digit per row, each
         row keeps the blocks of its digit that a slot makes from z's row, and
-        the rows are joined into blocks whose filled columns are alphabet
-        symbols.  A row's blocks are read from the oracle's label index when
-        a label holds fewer blocks than the slots fill (2^k < label_space *
-        the sum of 2^l1), and from every slot's fills otherwise."""
-        space = self.oracles[k].label_space
+        the rows join into blocks whose filled columns are alphabet symbols.
+        A row's blocks come from the oracle's label index when a label holds
+        fewer blocks than the slots fill (2^k < label_space * sum of 2^l1,
+        summed only if the oracle `may_index`), else from each slot's fills."""
+        oracle = self.oracles[k]
+        space = oracle.label_space
         if target >= space ** self.nrows:
             return set()
-        digits = [target // space**r % space for r in reversed(range(self.nrows))]
-        slots = list(slots)
-        if 1 << k < space * sum([1 << l1 for _, l1, _ in slots]):
-            return self._solve_indexed(zrows, zlen, k, slots, digits)
+        digits = [0] * self.nrows
+        for r in reversed(range(self.nrows)):
+            target, digits[r] = divmod(target, space)
+        if oracle.may_index:
+            slots = list(slots)
+            if 1 << k < space * sum([1 << l1 for _, l1, _ in slots]):
+                return self._solve_indexed(zrows, zlen, k, slots, digits)
         return self._solve_scanned(zrows, zlen, k, slots, digits)
 
     def _fits(self, block: tuple, low: int, l1: int) -> bool:
         """Whether the block's columns low .. low + l1 - 1, from its end, hold alphabet symbols."""
-        return all(
-            sum(((v >> j) & 1) << r for r, v in enumerate(block)) in self.allowed
-            for j in range(low, low + l1)
-        )
+        cols = (sum((v >> j & 1) << r for r, v in enumerate(block)) for j in range(low, low + l1))
+        return self.allowed.issuperset(cols)
 
     def _solve_scanned(self, zrows, zlen, k, slots, digits) -> set:
         """solve's blocks from each slot's l1-bit fills of every row."""
@@ -705,9 +712,8 @@ class QaryBlockLabeler:
         return found
 
     def _solve_indexed(self, zrows, zlen, k, slots, digits) -> set:
-        """solve's blocks from the oracle's label index.  A slot (a, l1, l2)
-        makes block v from z's row exactly when a - 1 <= pre and low <= suf,
-        the lengths of the common prefix and suffix of v and z's row."""
+        """solve's blocks from the label index: slot (a, l1, l2) makes v from z's row exactly
+        when a - 1 <= pre and low <= suf, the lengths of their common prefix and suffix."""
         order, starts = self.oracles[k].by_label
         shapes = [(a - 1, l1, zlen - a + 1 - l2) for a, l1, l2 in slots]
         # need[p]: the least low of a slot that keeps at most p top bits
@@ -788,10 +794,10 @@ def padded_length(n: int, P: int) -> int:
 def block_syndromes(x: tuple, P: int, labeler) -> tuple:
     """((d1, e1), (d2, e2)): sums of block labels and of their squares, taken
     mod the labeler modulus, over the even and the odd blocks."""
-    return _block_sums(labeler.rows(x), len(x), P, labeler)
+    return block_sums(labeler.rows(x), len(x), P, labeler)
 
 
-def _block_sums(rows, n: int, P: int, labeler) -> tuple:
+def block_sums(rows, n: int, P: int, labeler) -> tuple:
     """block_syndromes of the n-symbol word given by its rows."""
     L = padded_length(n, P)
     rows = [r << (L - n) for r in rows]
@@ -850,14 +856,8 @@ def cpb_decode(
         return xp
     if len(window) > P:
         raise NotDecodableError("window exceeds the block cover length")
-    return labeler.word(_cpb_rows(labeler.rows(xp), n, tprime, window, sums, labeler, P), n)
-
-
-def _cpb_rows(rows, n: int, tprime: int, window: Interval, sums: tuple, labeler, P: int) -> tuple:
-    """cpb_decode of the word n - tprime symbols long given by its rows, for
-    1 <= tprime and a window of at most P symbols: the rows of the answer."""
     L = padded_length(n, P)
-    rows = [r << (L - n) for r in rows]  # the rows of xp padded with zeros
+    rows = [r << (L - n) for r in labeler.rows(xp)]  # the rows of xp padded with zeros
     for parity, spans in enumerate(block_layout(L, P)):
         hit = [j for j, sp in enumerate(spans) if sp.contains(window)]
         if hit:
@@ -897,9 +897,9 @@ def _cpb_rows(rows, n: int, tprime: int, window: Interval, sums: tuple, labeler,
         ((r >> (tail + zlen) << block_len | v) << tail | r & ((1 << tail) - 1)) >> (L - n)
         for r, v in zip(rows, found.pop())
     ]
-    if _block_sums(x, n, P, labeler) != sums:
+    if block_sums(x, n, P, labeler) != sums:
         raise NotDecodableError("reconstruction fails the stored sums")
-    return x
+    return labeler.word(x, n)
 
 
 # ---------------------------------------------------------------------------
@@ -967,14 +967,14 @@ def ctb_decode(up: tuple, params: CtbParams, labeler: BlockLabeler) -> tuple:
         raise ValueError("burst longer than t")
     rows_rx = to_matrix(up, params.q)
     window = locate_burst(rows_rx[0], params.c0, params.c1, params.density)
-    if len(window) > params.P:
-        raise NotDecodableError("window exceeds the block cover length")
     rows = [
-        _int_to_bits(_cpb_rows((_bits_to_int(r),), n, tprime, window, s, labeler, params.P)[0], n)
-        for r, s in zip(rows_rx, params.row_sums)
+        cpb_decode(
+            rows_rx[i], n, window, params.row_sums[i], labeler, params.P
+        )
+        for i in range(len(rows_rx))
     ]
     try:
-        u = from_matrix(rows, params.q)
+        u = from_matrix(tuple(rows), params.q)
     except ValueError as exc:  # a column decodes to a symbol >= q
         raise NotDecodableError(str(exc)) from None
     if not any(burst_starts(u, up, params.t)):

@@ -2,7 +2,9 @@
 compression, dense encoding, syndrome oracles, and the block-parity code."""
 import hashlib
 import itertools
+import math
 import random
+from array import array
 from dataclasses import astuple
 
 import pytest
@@ -32,6 +34,7 @@ from burstcodes.tburst import (
     CtbParams,
     DensityParams,
     QaryBlockLabeler,
+    SyndromeOracle,
     _RUN_BITS,
     _ball,
     _burst_candidates,
@@ -684,9 +687,29 @@ class TestBlockSolve:
         second.solve(second.rows(z), 10, 12, slots, 0)
         assert vars(second.oracles[12])["by_label"] is index
 
+    @pytest.mark.parametrize("k,t", [(6, 1), (8, 2), (12, 2), (16, 2)])
+    def test_index_gate_bounds_every_slot_set(self, k, t):
+        # solve skips the fill count where may_index is False, so there no
+        # slot set of a burst or edit of at most t symbols may pick the index
+        for model in ("burst", "edit"):
+            most = max(
+                sum(1 << l1 for _, l1, _ in (
+                    _burst_candidates(k - tp, lo, hi, tp) if model == "burst"
+                    else _edit_candidates(k - tp, lo, hi, tp, t)
+                ))
+                for tp in range(1, t + 1) for lo in range(1, k + 1) for hi in range(lo, k + 1)
+            )
+            gates = [
+                SyndromeOracle(k, t, model, array("I"), space).may_index
+                for space in range(1, (1 << k) + 1)
+            ]
+            assert not all(gates) and any(gates)
+            for space, gate in enumerate(gates, 1):
+                assert gate or 1 << k >= space * most
+
     @pytest.mark.parametrize("q", [2, 7, 256, 257, 1 << 16])
     def test_rows_match_the_bit_matrix(self, q):
-        # wider than 8 rows, a symbol's high byte carries the rows above 8
+        # wider than 8 rows, byte p of each symbol carries rows 8p .. 8p + 7
         labeler = QaryBlockLabeler(q, {4: oracle_build_brute(4, 1, "burst")}, (0, 1))
         rng = random.Random(q)
         for n in (0, 1, 12, 40):
@@ -696,6 +719,15 @@ class TestBlockSolve:
             assert labeler.word(rows, n) == u
         with pytest.raises(ValueError, match="out of range"):
             labeler.rows((0, 1 << labeler.nrows))
+
+    @pytest.mark.parametrize("q", [1 << 17, math.factorial(9) + 1])
+    def test_rows_refuse_more_than_sixteen_rows(self, q):
+        # the perm code's q = (t + 1)! + 1 passes 2^16 at t = 8; its words
+        # are refused by check_symbols, as by the per-symbol loop before
+        labeler = QaryBlockLabeler(q, {4: oracle_build_brute(4, 1, "burst")}, (0, 1))
+        for u in ((), (1, 2, 70000)):
+            with pytest.raises(ValueError, match=r"alphabet size q must be in \[2, 65536\]"):
+                labeler.rows(u)
 
     def test_decode_outcomes_match_recorded_digest(self):
         # the digest was recorded from the q-ary candidate filter
