@@ -27,10 +27,11 @@ def check_permutation(pi: tuple) -> None:
         raise ValueError("not a permutation of [n]")
 
 
-def bp_map(pi: tuple) -> tuple:
-    """Half indicator: bit i = 1 iff pi_i > n/2.  Balanced (one extra 1 for
-    odd n)."""
-    n = len(pi)
+def bp_map(pi: tuple, n: int = 0) -> tuple:
+    """Half indicator: bit i = 1 iff pi_i > n/2, n = len(pi) unless a
+    permutation less a burst gives its own.  Balanced (one extra 1 for odd
+    n)."""
+    n = n or len(pi)
     return tuple(1 if v > n / 2 else 0 for v in pi)
 
 
@@ -209,8 +210,7 @@ def pleqt_decode(pip: tuple, params: PermCodeParams, labeler) -> tuple:
     missing = tuple(sorted(set(range(1, n + 1)) - set(pip)))
     if len(missing) != tprime:
         raise ValueError("received word is not a permutation minus a burst")
-    b_rx = tuple(1 if v > n / 2 else 0 for v in pip)
-    window = perm_locate(b_rx, params.c0, params.c1, params.density)
+    window = perm_locate(bp_map(pip, n), params.c0, params.c1, params.density)
     # the substring edit on the ranking sequence spans [s - t, s + t' - 1]
     # for a burst starting at s
     p_window = Interval(

@@ -9,7 +9,7 @@ confusable under the declared error model receive distinct labels.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial, reduce
@@ -127,37 +127,41 @@ def locate_burst(
     wb, span = bytes(dp.w), 2 * t
     xb = bytes(xp)
     end = n - span + 2  # position of the closing 1 of the padded indicator
-    # padded positions (window start + 1) of the occurrences of w in xp, their
-    # prefix sums, and the largest gap of each prefix (from 0) and of each
-    # suffix (to the closing 1 of xp, end - tprime)
-    occ = [i + 1 for i in range(len(xb) - span + 1) if xb.startswith(wb, i)]
-    pre, head, prev = [0], [0], 0
-    for o in occ:
-        pre.append(pre[-1] + o)
-        head.append(max(head[-1], o - prev))
-        prev = o
-    tail, nxt = [0] * (len(occ) + 1), end - tprime
-    for j in range(len(occ) - 1, -1, -1):
-        tail[j] = max(tail[j + 1], nxt - occ[j])
-        nxt = occ[j]
+    # padded positions (window start + 1) of the occurrences of w in xp (w does
+    # not overlap itself: the next starts span on at least), their prefix sums,
+    # and the largest gap of each prefix (from 0) and of each suffix (to the
+    # closing 1 of xp, end - tprime)
+    occ, i = [], xb.find(wb)
+    while i >= 0:
+        occ.append(i + 1)
+        i = xb.find(wb, i + span)
+    pre = [0, *accumulate(occ)]
+    head = [0, *accumulate(map(sub, occ, [0, *occ]), max)]
+    tail = [*accumulate(map(sub, [end - tprime, *occ[:0:-1]], occ[::-1]), max)][::-1] + [0]
     total = len(occ)
-    if c0 not in range(4):  # fills[(c0 - kept) % 4] would wrap it into 0..3
+    # fills[(c0 - kept) % 4] would wrap c0 into 0..3, and the VT test c1 into 0..2n-1
+    if c0 not in range(4) or c1 not in range(2 * n):
         raise NotDecodableError("localization syndromes inconsistent")
-    starts = []
+    starts, a, b = [], 0, 0
+    occ.append(n + 1)  # past every start: the pointers below stop at it
     for s in range(1, len(xp) + 2):
         # seg is the inserted bits with up to 2t - 1 bits of xp either side:
         # its windows, from i0 (0-based start) on, are those that overlap the
-        # inserted bits, and xp's occurrences a..b-1 the ones they replace
-        i0 = max(0, s - span)
-        a, b = bisect_right(occ, s - span), bisect_left(occ, s)
+        # inserted bits, and xp's occurrences a..b-1 the ones they replace.
+        # Each step of s passes at most one occurrence for each pointer
+        i0 = s - span if s > span else 0
+        a += occ[a] <= s - span
+        b += occ[b] < s
         kept = a + total - b
-        kept_sum = pre[a] + pre[total] - pre[b] + tprime * (total - b)
-        fills = _seg_table(wb, tprime, xb[i0 : s - 1], xb[s - 1 : s + span - 2])
         # only the fills whose count makes the pattern count c0 mod 4
-        for bits, cnt, cnt_sum, first, last, inner in fills[(c0 - kept) % 4]:
-            count = kept + cnt
-            # VT of the gap vector: (count + 1) * end - sum of the positions
-            if ((count + 1) * end - kept_sum - cnt * i0 - cnt_sum) % (2 * n) != c1:
+        fills = _seg_table(wb, tprime, xb[i0 : s - 1], xb[s - 1 : s + span - 2])[(c0 - kept) % 4]
+        if not fills:
+            continue
+        # VT of the gap vector, (count + 1) * end - sum of the positions, less
+        # c1, without the fill's count and positions
+        vt = (kept + 1) * end - pre[a] - pre[total] + pre[b] - tprime * (total - b) - c1
+        for bits, cnt, cnt_sum, first, last, inner in fills:
+            if (vt + cnt * (end - i0) - cnt_sum) % (2 * n):
                 continue
             kept_gap = max(head[a], tail[b])
             before = occ[a - 1] if a else 0
@@ -621,9 +625,8 @@ class QaryBlockLabeler:
     def __init__(self, q: int, oracles: dict, alphabet: tuple):
         self.nrows = matrix_rows(q)
         self.oracles = oracles
-        self.modulus = max(
-            o.label_space ** self.nrows for o in oracles.values()
-        )
+        (self.kind,) = {(o.model, o.t) for o in oracles.values()}  # one for all: cpb_decode's slots
+        self.modulus = max(o.label_space**self.nrows for o in oracles.values())
         self.alphabet = alphabet
         self.allowed = frozenset(alphabet)
         # row r: byte r >> 3 of each symbol, and a table that sends it to its bit
@@ -794,13 +797,8 @@ def padded_length(n: int, P: int) -> int:
 def block_syndromes(x: tuple, P: int, labeler) -> tuple:
     """((d1, e1), (d2, e2)): sums of block labels and of their squares, taken
     mod the labeler modulus, over the even and the odd blocks."""
-    return block_sums(labeler.rows(x), len(x), P, labeler)
-
-
-def block_sums(rows, n: int, P: int, labeler) -> tuple:
-    """block_syndromes of the n-symbol word given by its rows."""
-    L = padded_length(n, P)
-    rows = [r << (L - n) for r in rows]
+    L = padded_length(len(x), P)
+    rows = [r << (L - len(x)) for r in labeler.rows(x)]
     M = labeler.modulus
     sums = []
     for spans in block_layout(L, P):
@@ -837,14 +835,35 @@ def _burst_candidates(zlen, rel_lo, rel_hi, tprime):
         yield a, tprime, 0
 
 
-def cpb_decode(
-    xp: tuple,
-    n: int,
-    window: Interval,
-    sums: tuple,
-    labeler,
-    P: int,
-) -> tuple:
+@lru_cache(maxsize=1 << 12)
+def _plan(n: int, P: int, lo: int, hi: int, tprime: int, model: str, t: int) -> Optional[tuple]:
+    """cpb_decode's fixed work for the window [lo, hi] of an n-symbol word
+    received tprime symbols short, or None when no block covers it: the
+    damaged block's parity and length, the (shift, length) of the intact
+    blocks of that parity in the received word padded with zeros, zlen and
+    tail (that word's bits in the damaged block and below it), the solve's
+    slots, and the (shift, length) of the other parity's blocks in the
+    padded word.  A decode's window lies in [1, n], at most P long: n * P * t
+    keys at most per (n, P, model, t)."""
+    L = padded_length(n, P)
+    layout = block_layout(L, P)
+    hits = [(p, b) for p, spans in enumerate(layout) for b in spans if b.lo <= lo and hi <= b.hi]
+    if not hits:
+        return None
+    parity, sp = hits[0]
+    # the padded word is tprime short, so a block ends L - hi bits above its
+    # end once the burst lies before it, tprime bits fewer otherwise
+    intact = tuple(
+        (L - b.hi - (tprime if b.hi <= sp.lo else 0), len(b)) for b in layout[parity] if b is not sp
+    )
+    k = len(sp)
+    args = k - tprime, max(1, lo - sp.lo + 1), min(k, hi - sp.lo + 1), tprime  # zlen, window in sp
+    slots = _burst_candidates(*args) if model == "burst" else _edit_candidates(*args, t)
+    other = tuple((L - b.hi, len(b)) for b in layout[1 - parity])
+    return parity, k, intact, k - tprime, L - sp.hi, tuple(slots), other
+
+
+def cpb_decode(xp: tuple, n: int, window: Interval, sums: tuple, labeler, P: int) -> tuple:
     """Correct a burst (or one substring edit) confined to `window` using the
     stored block-label sums: every block outside the window is intact, the
     damaged block's label is solved from the residue equations and inverted
@@ -856,50 +875,36 @@ def cpb_decode(
         return xp
     if len(window) > P:
         raise NotDecodableError("window exceeds the block cover length")
-    L = padded_length(n, P)
-    rows = [r << (L - n) for r in labeler.rows(xp)]  # the rows of xp padded with zeros
-    for parity, spans in enumerate(block_layout(L, P)):
-        hit = [j for j, sp in enumerate(spans) if sp.contains(window)]
-        if hit:
-            damaged = hit[0]
-            break
-    else:
+    cut = padded_length(n, P) - n
+    rows = [r << cut for r in labeler.rows(xp)]  # the rows of xp padded with zeros
+    plan = _plan(n, P, window.lo, window.hi, tprime, *labeler.kind)
+    if plan is None:
         raise NotDecodableError("window not covered by any block")
+    parity, k, intact, zlen, tail, slots, other = plan
     d_sum, e_sum = sums[parity]
     M = labeler.modulus
-    sp = spans[damaged]
-    # the padded xp is tprime short, so a block ends L - hi bits above its
-    # end once the burst lies before it, tprime bits fewer otherwise
-    intact_labels = [
-        labeler.label(rows, L - b.hi - (tprime if b.hi <= sp.lo else 0), len(b))
-        for j, b in enumerate(spans)
-        if j != damaged
-    ]
-    missing = (d_sum - sum(intact_labels)) % M
-    if (e_sum - sum(l * l for l in intact_labels)) % M != (missing * missing) % M:
+    labs = [labeler.label(rows, shift, b) for shift, b in intact]
+    missing = (d_sum - sum(labs)) % M
+    if (e_sum - sum(l * l for l in labs)) % M != (missing * missing) % M:
         raise NotDecodableError("block syndromes inconsistent")
-    block_len = len(sp)
-    zlen = block_len - tprime
-    tail = L - sp.hi
     zrows = [(r >> tail) & ((1 << zlen) - 1) for r in rows]
-    rel_lo = max(1, window.lo - sp.lo + 1)
-    rel_hi = min(block_len, window.hi - sp.lo + 1)
-    oracle = labeler.oracles[block_len]
-    if oracle.model == "burst":
-        slots = _burst_candidates(zlen, rel_lo, rel_hi, tprime)
-    else:
-        slots = _edit_candidates(zlen, rel_lo, rel_hi, tprime, oracle.t)
-    found = labeler.solve(zrows, zlen, block_len, slots, missing)
+    found = labeler.solve(zrows, zlen, k, slots, missing)
     if len(found) != 1:
         raise NotDecodableError("no unique block consistent with the sums")
     # the block's rows replace the zlen received bits; those past n drop
     x = [
-        ((r >> (tail + zlen) << block_len | v) << tail | r & ((1 << tail) - 1)) >> (L - n)
+        ((r >> (tail + zlen) << k | v) << tail | r & ((1 << tail) - 1)) >> cut << cut
         for r, v in zip(rows, found.pop())
     ]
-    if block_sums(x, n, P, labeler) != sums:
+    # the damaged block's parity sums to the stored sums mod M, as its intact
+    # blocks keep their bits and it takes `missing`, so only the other parity
+    # is relabelled.  A window past n lets the solve set bits past n, which
+    # dropped: relabelling the block there keeps a wrong answer out
+    labs = [labeler.label(x, shift, b) for shift, b in other]
+    rebuilt = ((d_sum % M, e_sum % M), (sum(labs) % M, sum(l * l for l in labs) % M))
+    if rebuilt[:: 1 - 2 * parity] != sums or tail < cut and labeler.label(x, tail, k) != missing:
         raise NotDecodableError("reconstruction fails the stored sums")
-    return labeler.word(x, n)
+    return labeler.word([r >> cut for r in x], n)
 
 
 # ---------------------------------------------------------------------------
@@ -968,10 +973,8 @@ def ctb_decode(up: tuple, params: CtbParams, labeler: BlockLabeler) -> tuple:
     rows_rx = to_matrix(up, params.q)
     window = locate_burst(rows_rx[0], params.c0, params.c1, params.density)
     rows = [
-        cpb_decode(
-            rows_rx[i], n, window, params.row_sums[i], labeler, params.P
-        )
-        for i in range(len(rows_rx))
+        cpb_decode(row, n, window, sums, labeler, params.P)
+        for row, sums in zip(rows_rx, params.row_sums)
     ]
     try:
         u = from_matrix(tuple(rows), params.q)

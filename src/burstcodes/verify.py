@@ -203,25 +203,21 @@ def _best_class(n: int, q: int, walk: tuple) -> tuple:
     automaton walk = (start, step, key), key(state) being the residue tuple
     of the words that end in state.  The class sizes come from the last
     level of _walk, and only the winning words are built: going backward,
-    each level keeps the moves of the states from which a winning final
-    state can be reached, and the prefixes follow them, level by level."""
+    each state from level n // 2 on keeps its suffixes into the class, and
+    each prefix of length n // 2 is joined to those of its state."""
     start, step, key = walk
-    levels = list(_walk(n, q, start, step))
+    levels = deque(_walk(n, q, start, step), maxlen=n - n // 2 + 1)  # levels n // 2 .. n
     best, _ = _largest_class(levels[-1], key)
-    live = {st for st in levels.pop() if key(st) == best}
-    moves = []  # moves[j][state]: (symbol, next state) of the live states
-    for j in range(n, 0, -1):
-        kids = {}
+    tails = {st: [()] for st in levels.pop() if key(st) == best}
+    for j in range(n, n // 2, -1):
+        back, tails = tails, {}
         for st in levels.pop():
-            nxt = [(s, x) for s in range(q) if (x := step(st, s, j)) in live]
-            if nxt:
-                kids[st] = nxt
-        moves.append(kids)
-        live = kids
-    prefixes = [((), start)]
-    for kids in reversed(moves):
-        prefixes = [(p + (s,), x) for p, st in prefixes for s, x in kids[st]]
-    return best, [p for p, _ in prefixes]
+            if ws := [(s,) + w for s in range(q) if (x := step(st, s, j)) in back for w in back[x]]:
+                tails[st] = ws
+    heads = [((), start)]  # a dead prefix's state is None, dropped a level later
+    for j in range(1, n // 2 + 1):
+        heads = [(p + (s,), step(st, s, j)) for p, st in heads if st is not None for s in range(q)]
+    return best, [p + w for p, st in heads if st in tails for w in tails[st]]
 
 
 def _walk_sieve(fam: "Family", n: int, q: int, budget: int, **options) -> Codebook:

@@ -379,3 +379,17 @@ def test_locate_burst_matches_scan_seeded(n, t, delta):
             assert _outcome(tburst.locate_burst, *args) == _outcome(
                 ref_locate_burst, *args
             ), args
+
+
+def test_locate_burst_refuses_c1_out_of_range():
+    # the scan compares the VT residue with c1, so a c1 outside 0..2n-1
+    # matches no start; the fill loop tests vt - c1 against 0 mod 2n, which
+    # c1 - 2n and c1 + 2n would pass wherever c1 does
+    dp = tburst.DensityParams(8, 2, 6)
+    for tprime in (1, 2):
+        for xp in product((0, 1), repeat=8 - tprime):
+            for c0, c1 in product(range(4), (*range(-16, 0), *range(16, 32))):
+                args = (xp, c0, c1, dp)
+                assert _outcome(tburst.locate_burst, *args) == _outcome(
+                    ref_locate_burst, *args
+                ), args

@@ -39,6 +39,7 @@ from burstcodes.tburst import (
     _ball,
     _burst_candidates,
     _edit_candidates,
+    _plan,
     _record_tail,
     block_layout,
     block_syndromes,
@@ -531,6 +532,244 @@ class TestBlockDecode:
         sums = ((0, 0), (0, 0))
         with pytest.raises(NotDecodableError, match="window exceeds the block cover length"):
             cpb_decode((2, 0, 1, 0, 1, 0, 1), 8, Interval(1, 6), sums, labeler, 4)
+
+
+def ref_cpb_decode(xp, n, window, sums, labeler, P):
+    """The cpb_decode that the window plan replaced: the window geometry
+    found on every call, and the closing check relabelling every block of
+    both parities."""
+    tprime = n - len(xp)
+    if tprime == 0:
+        if block_syndromes(xp, P, labeler) != sums:
+            raise NotDecodableError("stored sums do not match")
+        return xp
+    if len(window) > P:
+        raise NotDecodableError("window exceeds the block cover length")
+    L = padded_length(n, P)
+    rows = [r << (L - n) for r in labeler.rows(xp)]
+    for parity, spans in enumerate(block_layout(L, P)):
+        hit = [j for j, sp in enumerate(spans) if sp.contains(window)]
+        if hit:
+            damaged = hit[0]
+            break
+    else:
+        raise NotDecodableError("window not covered by any block")
+    d_sum, e_sum = sums[parity]
+    M = labeler.modulus
+    sp = spans[damaged]
+    intact_labels = [
+        labeler.label(rows, L - b.hi - (tprime if b.hi <= sp.lo else 0), len(b))
+        for j, b in enumerate(spans)
+        if j != damaged
+    ]
+    missing = (d_sum - sum(intact_labels)) % M
+    if (e_sum - sum(l * l for l in intact_labels)) % M != (missing * missing) % M:
+        raise NotDecodableError("block syndromes inconsistent")
+    block_len = len(sp)
+    zlen = block_len - tprime
+    tail = L - sp.hi
+    zrows = [(r >> tail) & ((1 << zlen) - 1) for r in rows]
+    rel_lo = max(1, window.lo - sp.lo + 1)
+    rel_hi = min(block_len, window.hi - sp.lo + 1)
+    oracle = labeler.oracles[block_len]
+    if oracle.model == "burst":
+        slots = _burst_candidates(zlen, rel_lo, rel_hi, tprime)
+    else:
+        slots = _edit_candidates(zlen, rel_lo, rel_hi, tprime, oracle.t)
+    found = labeler.solve(zrows, zlen, block_len, slots, missing)
+    if len(found) != 1:
+        raise NotDecodableError("no unique block consistent with the sums")
+    x = [
+        ((r >> (tail + zlen) << block_len | v) << tail | r & ((1 << tail) - 1)) >> (L - n)
+        for r, v in zip(rows, found.pop())
+    ]
+    if block_syndromes(labeler.word(x, n), P, labeler) != sums:
+        raise NotDecodableError("reconstruction fails the stored sums")
+    return labeler.word(x, n)
+
+
+def _either(decode, *args):
+    """The decoded word, or the type and message of what decode raised."""
+    try:
+        return decode(*args)
+    except (NotDecodableError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _cpb_cases(rng, labeler, n, P, count):
+    """Seeded cpb_decode arguments for n-symbol words over the labeler's
+    alphabet: a word less a burst or a substring edit of at most t symbols
+    with the tightest window, the same with a redrawn symbol, a window moved
+    or widened at random (past n as well, and past the padded length), and
+    block sums drawn at random (all four, or one parity's), or raised by M."""
+    model, t = labeler.kind
+    M, L = labeler.modulus, padded_length(n, P)
+    for _ in range(count):
+        x = tuple(rng.choice(labeler.alphabet) for _ in range(n))
+        sums = block_syndromes(x, P, labeler)
+        tprime = rng.randint(1, t)
+        s = rng.randint(1, n - tprime + 1)
+        if model == "burst":
+            xp = x[: s - 1] + x[s - 1 + tprime :]
+            window = Interval(s, s + tprime - 1)
+        else:  # l1 symbols give way to l1 - tprime others
+            l1 = rng.randint(tprime, min(2 * t, n - s + 1))
+            fill = tuple(rng.choice(labeler.alphabet) for _ in range(l1 - tprime))
+            xp = x[: s - 1] + fill + x[s - 1 + l1 :]
+            window = Interval(s, s + l1 - 1)
+        redrawn = list(xp)
+        redrawn[rng.randrange(len(xp))] = rng.choice(labeler.alphabet)
+        lo = rng.randint(1, L + 2)
+        moved = Interval(lo, lo + rng.randint(0, P))
+        wide = Interval(max(1, window.lo - rng.randint(0, 3)), window.hi + rng.randint(0, 3))
+        drawn = tuple((rng.randrange(2 * M), rng.randrange(2 * M)) for _ in range(2))
+        # one parity's sums drawn, or one sum raised by M, the rest kept
+        kept = (sums[0], drawn[1]) if rng.randrange(2) else (drawn[0], sums[1])
+        flat = [v for pair in sums for v in pair]
+        flat[rng.randrange(4)] += M
+        raised = ((flat[0], flat[1]), (flat[2], flat[3]))
+        for word, win, sm in (
+            (xp, window, sums), (tuple(redrawn), window, sums), (xp, moved, sums),
+            (xp, wide, sums), (xp, window, drawn), (xp, window, kept), (xp, window, raised),
+            (x, window, sums), (x, window, drawn),
+        ):
+            yield word, n, win, sm, labeler, P
+
+
+class TestDecodePlan:
+    @pytest.mark.parametrize("kind", ["ctb", "perm"])
+    @pytest.mark.parametrize("n", [32, 30])
+    def test_cpb_decode_matches_full_relabel(self, kind, n):
+        # the plan-driven decode gives the old decoder's word or refusal on
+        # real and arbitrary input; at n = 30 the padded length is 32, so
+        # the damaged block can reach the padding
+        if kind == "ctb":
+            labeler = BlockLabeler({k: oracle_build_brute(k, 2, "burst") for k in (8, 16)})
+            P = 8
+        else:
+            labeler, P = _edit_labeler(), 6
+        rng = random.Random(f"{kind}/{n}")
+        seen = set()
+        for args in _cpb_cases(rng, labeler, n, P, 150):
+            want = _either(ref_cpb_decode, *args)
+            assert _either(cpb_decode, *args) == want, args[:4]
+            seen.add(want if isinstance(want[0], str) else "decoded")
+        assert "decoded" in seen
+        assert ("NotDecodableError", "reconstruction fails the stored sums") in seen
+
+    def test_solved_bits_past_n_are_checked(self):
+        # a 32-bit y with y_31 = 1 whose even sums lead the solve to y's last
+        # block, bits past n = 30 included; they drop from the word, so its
+        # even sums are no longer y's.  The odd sums are those of y with the
+        # bit cleared, which the rebuilt word meets: only the check on the
+        # damaged block refuses it
+        labeler = BlockLabeler({k: oracle_build_brute(k, 2, "burst") for k in (8, 16)})
+        rng = random.Random(30)
+        for _ in range(20):
+            y = tuple(rng.randint(0, 1) for _ in range(29)) + (0, 1, 0)
+            cleared = y[:30] + (0, 0)
+            sums = (block_syndromes(y, 8, labeler)[0], block_syndromes(cleared, 8, labeler)[1])
+            args = (y[:29], 30, Interval(29, 31), sums, labeler, 8)
+            want = ("NotDecodableError", "reconstruction fails the stored sums")
+            assert _either(ref_cpb_decode, *args) == _either(cpb_decode, *args) == want
+
+    def test_cpb_decode_on_ctb_rows(self):
+        # seeded bursts of the rows of q-ary ctb words, each row decoded with
+        # the window that locate_burst gives on row 1
+        labeler = BlockLabeler({k: oracle_build_brute(k, 2, "burst") for k in (8, 16)})
+        rng = random.Random(21)
+        decoded = 0
+        dp = DensityParams(32, 2, 7)
+        for _ in range(60):
+            # copies of w, each followed by at most delta - 2t bits
+            row1 = ()
+            while len(row1) != 32 or loc_residues(row1, dp) is None:
+                row1 = ()
+                while len(row1) < 32:
+                    row1 += dp.w + tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 3)))
+                row1 = row1[:32]
+            rows = (row1,) + tuple(
+                tuple(rng.randint(0, 1) for _ in range(32)) for _ in range(3)
+            )
+            u = from_matrix(rows, 16)
+            params = CtbParams(32, 16, 2, 7, 8, *loc_residues(rows[0], dp), tuple(
+                block_syndromes(r, 8, labeler) for r in rows
+            ))
+            d = rng.randint(1, 2)
+            rows = to_matrix(apply_burst(u, Burst(rng.randint(1, 33 - d), d)), 16)
+            try:
+                window = locate_burst(rows[0], params.c0, params.c1, params.density)
+            except NotDecodableError:
+                continue
+            for row, sums in zip(rows, params.row_sums):
+                args = (row, 32, window, sums, labeler, 8)
+                got = _either(cpb_decode, *args)
+                assert got == _either(ref_cpb_decode, *args)
+                decoded += len(got) == 32
+        assert decoded > 150
+
+    def test_cpb_decode_on_ranking_sequences(self):
+        # seeded bursts of permutations, their ranking sequences decoded with
+        # pleqt_decode's window, and with that window moved by one
+        labeler = _edit_labeler()
+        rng = random.Random(22)
+        decoded = 0
+        for _ in range(150):
+            pi = tuple(rng.sample(range(1, 9), 8))
+            sums = block_syndromes(overlap_ranks(pi, 2), 6, labeler)
+            d = rng.randint(1, 2)
+            s = rng.randint(1, 9 - d)
+            pp = overlap_ranks(apply_burst(pi, Burst(s, d)), 2)
+            lo = max(1, s - 2)
+            for window in (Interval(lo, min(6, s + d - 1)), Interval(lo + 1, min(7, s + d))):
+                args = (pp, 6, window, sums, labeler, 6)
+                got = _either(cpb_decode, *args)
+                assert got == _either(ref_cpb_decode, *args)
+                decoded += len(got) == 6
+        assert decoded > 100
+
+    def test_labeler_oracles_share_one_error_model(self):
+        # cpb_decode takes the slots of every block length from one model and t
+        assert _edit_labeler().kind == ("edit", 2)
+        for mixed in ({4: (1, "burst"), 8: (2, "burst")}, {6: (2, "burst"), 12: (2, "edit")}):
+            oracles = {k: oracle_build_brute(k, t, model) for k, (t, model) in mixed.items()}
+            with pytest.raises(ValueError):
+                QaryBlockLabeler(4, oracles, (1, 2, 3))
+
+    @pytest.mark.parametrize("n,P", [(32, 8), (30, 8), (6, 6), (13, 4)])
+    def test_plan_matches_block_layout(self, n, P):
+        # the damaged block, intact shifts, slots and other-parity shifts,
+        # against the inline computation of the decoder the plan replaced
+        L = padded_length(n, P)
+        layout = block_layout(L, P)
+        for model, t in (("burst", 1), ("burst", 2), ("edit", 1), ("edit", 2)):
+            for lo in range(1, n + 1):
+                for hi in range(lo, min(n, lo + P - 1) + 1):
+                    for tprime in range(1, t + 1):
+                        for parity, spans in enumerate(layout):
+                            hit = [j for j, sp in enumerate(spans) if sp.contains(Interval(lo, hi))]
+                            if hit:
+                                break
+                        damaged = hit[0]
+                        sp = spans[damaged]
+                        k, zlen = len(sp), len(sp) - tprime
+                        rel_lo, rel_hi = max(1, lo - sp.lo + 1), min(k, hi - sp.lo + 1)
+                        if model == "burst":
+                            slots = _burst_candidates(zlen, rel_lo, rel_hi, tprime)
+                        else:
+                            slots = _edit_candidates(zlen, rel_lo, rel_hi, tprime, t)
+                        want = (
+                            parity, k,
+                            tuple(
+                                (L - b.hi - (tprime if b.hi <= sp.lo else 0), len(b))
+                                for j, b in enumerate(spans) if j != damaged
+                            ),
+                            zlen, L - sp.hi, tuple(slots),
+                            tuple((L - b.hi, len(b)) for b in layout[1 - parity]),
+                        )
+                        assert _plan(n, P, lo, hi, tprime, model, t) == want
+        # a window past the padded length lies in no block
+        assert _plan(n, P, L, L + 1, 1, "burst", 1) is None
 
 
 def _qary_filter(labeler, z: tuple, k: int, slots: list, target: int) -> set:
