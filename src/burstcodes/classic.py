@@ -77,18 +77,9 @@ def vt_decode(xp: tuple, a: int, n: int) -> tuple:
         # a 0 was deleted with delta ones to its right
         x = _insert_zero_before_ones(xp, delta, (0,))
     else:
-        # a 1 was deleted with delta - w - 1 zeros to its left
-        zeros_left = delta - w - 1
-        seen = 0
-        pos = len(xp)
-        for i, s in enumerate(xp):
-            if s == 0:
-                seen += 1
-            if seen == zeros_left and zeros_left > 0:
-                pos = i + 1
-                break
-        if zeros_left == 0:
-            pos = 0
+        # a 1 was deleted with delta - w - 1 zeros to its left: just past
+        # that many zeros (xp holds n - 1 - w >= delta - w - 1 of them)
+        pos = [0, *(i + 1 for i, s in enumerate(xp) if not s)][delta - w - 1]
         x = xp[:pos] + (1,) + xp[pos:]
     # never fails (0 of 106,496 (xp, a) at n <= 13): it guards the contract
     if vt_syndrome(x) % (n + 1) != a or not any(burst_starts(x, xp, 1)):

@@ -29,7 +29,6 @@ from .seqcore import (
     from_matrix,
     matrix_rows,
     to_matrix,
-    vt_syndrome,
 )
 
 
@@ -75,18 +74,34 @@ def indicator_alpha(x: tuple, dp: DensityParams) -> tuple:
     return ind, alpha
 
 
+def _occurrences(xb: bytes, wb: bytes) -> list:
+    """Positions in the padded indicator (window start + 1) of wb = 0^t 1^t
+    in xb.  wb does not overlap itself (its proper prefixes are 0s, its
+    suffixes 1s), so the next occurrence starts len(wb) on at least."""
+    occ, i = [], xb.find(wb)
+    while i >= 0:
+        occ.append(i + 1)
+        i = xb.find(wb, i + len(wb))
+    return occ
+
+
 def is_dense(x: tuple, dp: DensityParams) -> bool:
-    _, alpha = indicator_alpha(x, dp)
-    return max(alpha) <= dp.delta
+    return loc_residues(x, dp) is not None
 
 
 def loc_residues(x: tuple, dp: DensityParams) -> Optional[tuple]:
     """Localization residues (pattern count mod 4, VT of the gap vector
-    mod 2n) of a dense x; None when x is not dense."""
-    ind, alpha = indicator_alpha(x, dp)
-    if max(alpha) > dp.delta:
+    mod 2n) of a dense x; None when x is not dense.  With the occurrences
+    p_1..p_c of w padded by p_0 = 0 and end = len(x) - 2t + 2, that VT is
+    (c + 1) * end - sum(p_i).  locate_burst's per-fill arithmetic uses the
+    same closed form: a change to the residue changes both."""
+    if len(x) < 2 * dp.t:
+        raise ValueError("sequence shorter than the pattern")
+    occ = _occurrences(bytes(x), bytes(dp.w))
+    end = len(x) - 2 * dp.t + 2
+    if max(map(sub, [*occ, end], [0, *occ])) > dp.delta:
         return None
-    return sum(ind) % 4, vt_syndrome(alpha) % (2 * dp.n)
+    return len(occ) % 4, ((len(occ) + 1) * end - sum(occ)) % (2 * dp.n)
 
 
 def loc_member(x: tuple, c0: int, c1: int, dp: DensityParams) -> bool:
@@ -124,17 +139,11 @@ def locate_burst(
         raise ValueError("burst longer than t")
     if n < 2 * t:
         raise ValueError("sequence shorter than the pattern")
-    wb, span = bytes(dp.w), 2 * t
-    xb = bytes(xp)
+    wb, span, xb = bytes(dp.w), 2 * t, bytes(xp)
     end = n - span + 2  # position of the closing 1 of the padded indicator
-    # padded positions (window start + 1) of the occurrences of w in xp (w does
-    # not overlap itself: the next starts span on at least), their prefix sums,
-    # and the largest gap of each prefix (from 0) and of each suffix (to the
-    # closing 1 of xp, end - tprime)
-    occ, i = [], xb.find(wb)
-    while i >= 0:
-        occ.append(i + 1)
-        i = xb.find(wb, i + span)
+    # the occurrences of w in xp, their prefix sums, and the largest gap of
+    # each prefix (from 0) and suffix (to xp's closing 1, end - tprime)
+    occ = _occurrences(xb, wb)
     pre = [0, *accumulate(occ)]
     head = [0, *accumulate(map(sub, occ, [0, *occ]), max)]
     tail = [*accumulate(map(sub, [end - tprime, *occ[:0:-1]], occ[::-1]), max)][::-1] + [0]
@@ -157,8 +166,8 @@ def locate_burst(
         fills = _seg_table(wb, tprime, xb[i0 : s - 1], xb[s - 1 : s + span - 2])[(c0 - kept) % 4]
         if not fills:
             continue
-        # VT of the gap vector, (count + 1) * end - sum of the positions, less
-        # c1, without the fill's count and positions
+        # loc_residues' VT, (count + 1) * end - sum of the positions, less c1,
+        # without the fill's count and positions (the two change together)
         vt = (kept + 1) * end - pre[a] - pre[total] + pre[b] - tprime * (total - b) - c1
         for bits, cnt, cnt_sum, first, last, inner in fills:
             if (vt + cnt * (end - i0) - cnt_sum) % (2 * n):
@@ -190,8 +199,7 @@ def _seg_table(wb: bytes, tprime: int, left: bytes, right: bytes) -> tuple:
     512 at t = 2, 12,288 at t = 3."""
     out = ([], [], [], [])
     for bits in product((0, 1), repeat=tprime):
-        seg = left + bytes(bits) + right
-        new = [k + 1 for k in range(len(seg)) if seg.startswith(wb, k)]
+        new = _occurrences(left + bytes(bits) + right, wb)
         ends = (new[0], new[-1]) if new else (0, 0)
         inner = max(map(sub, new[1:], new), default=0)
         out[len(new) % 4].append((bits, len(new), sum(new), *ends, inner))

@@ -28,6 +28,7 @@ from burstcodes.seqcore import (
     from_matrix,
     matrix_rows,
     to_matrix,
+    vt_syndrome,
 )
 from burstcodes.tburst import (
     BlockLabeler,
@@ -39,6 +40,7 @@ from burstcodes.tburst import (
     _ball,
     _burst_candidates,
     _edit_candidates,
+    _occurrences,
     _plan,
     _record_tail,
     block_layout,
@@ -94,6 +96,42 @@ class TestIndicator:
     def test_all_zero_not_dense(self):
         dp = DensityParams(12, 2, 6)
         assert not is_dense((0,) * 12, dp)
+
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_loc_residues_match_indicator_reference(self, t):
+        # every binary word of length n <= 16 against the tuple indicator:
+        # up to 14 at a delta that keeps almost no word, one that splits them
+        # and one that keeps every word; at 15 and 16 at the splitting one
+        wrong = []
+        for n in range(2 * t, 17):
+            deltas = {4 * t} if n > 14 else {2 * t, 4 * t, n}
+            dps = [DensityParams(n, t, d) for d in sorted(deltas)]
+            for x in itertools.product((0, 1), repeat=n):
+                ind, alpha = indicator_alpha(x, dps[0])
+                key = sum(ind) % 4, vt_syndrome(alpha) % (2 * n)
+                for dp in dps:
+                    want = key if max(alpha) <= dp.delta else None
+                    if (loc_residues(x, dp), is_dense(x, dp)) != (want, want is not None):
+                        wrong.append((x, dp.delta))
+        assert wrong == []
+
+    def test_loc_residues_refuse_short_word(self):
+        dp = DensityParams(8, 2, 6)
+        for f in (loc_residues, is_dense, indicator_alpha):
+            with pytest.raises(ValueError, match="shorter than the pattern"):
+                f((0, 0, 1), dp)
+
+    def test_occurrence_scan_matches_every_position(self):
+        # the scan steps 2t past each occurrence, which is sound only because
+        # w = 0^t 1^t does not overlap itself
+        for t in (1, 2, 3):
+            wb = bytes(t) + b"\1" * t
+            for n in range(15):
+                for x in itertools.product((0, 1), repeat=n):
+                    xb = bytes(x)
+                    assert _occurrences(xb, wb) == [
+                        k + 1 for k in range(n) if xb.startswith(wb, k)
+                    ], (t, x)
 
     def test_default_delta(self):
         # [TRIVIAL] t * 2^(2t+1) * ceil(log n)
