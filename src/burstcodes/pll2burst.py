@@ -236,10 +236,9 @@ def c2b_decode(up: tuple, params: C2BParams) -> tuple:
     row1 = levenshtein_decode(rows_rx[0], params.a, n)
     if longest_period2(row1) > params.cap:
         raise NotDecodableError("row 1 decodes outside the period limit")
-    interval = locate_from_row1(row1, rows_rx[0])
-    if len(interval) > params.cap:
-        raise NotDecodableError("burst interval exceeds the window length")
-    m = interval.lo
+    # two starts s < s' of the burst leave row1[s .. s' + t - 1] t-periodic,
+    # so the interval is a period-2 run of row 1: at most cap long
+    m = locate_from_row1(row1, rows_rx[0]).lo
     rows = [row1]
     for i in range(1, len(rows_rx)):
         rows.append(pbounded_decode(rows_rx[i], params.row_params(i - 1), m))

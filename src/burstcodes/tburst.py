@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial, reduce
 from itertools import accumulate, product
@@ -210,23 +209,11 @@ def _seg_table(wb: bytes, tprime: int, left: bytes, right: bytes) -> tuple:
 # pattern-free compression (the rank of a window among the w-free strings)
 
 
-@lru_cache(maxsize=32)
-def _pattern_free_count(delta: int, t: int) -> int:
-    """N(delta), the number of binary strings of length delta >= 2t without
-    w.  A w-free string of length L - 1 and one more bit contain w only as
-    their last 2t bits, after a w-free string of length L - 2t, so
-    N(L) = 2N(L-1) - N(L-2t), with N(L) = 2^L below 2t."""
-    last = deque((1 << k for k in range(2 * t)), maxlen=2 * t)
-    for _ in range(2 * t, delta + 1):
-        last.append(2 * last[-1] - last[0])
-    return last[-1]
-
-
 @lru_cache(maxsize=64)
 def _check_capacity(dp: DensityParams) -> None:
     if dp.out_len <= 0:
         raise ValueError("compressed length would be non-positive")
-    if _pattern_free_count(dp.delta, dp.t) > 1 << dp.out_len:
+    if _rank_table(dp.delta, dp.t)[0][dp.delta][0] > 1 << dp.out_len:  # N(delta)
         raise ValueError(
             "parameters violate the compression capacity precondition"
         )
@@ -404,12 +391,6 @@ class SyndromeOracle:
         key, space = self.labels.__getitem__, range(self.label_space + 1)
         order = array("I", sorted(range(len(self.labels)), key=key))
         return order, array("I", [bisect_left(order, i, key=key) for i in space])
-
-    @cached_property
-    def may_index(self) -> bool:
-        """Whether a burst or edit of at most t symbols can fill more blocks than a label holds."""
-        fills = self.k << self.t if self.model == "burst" else self.k * ((2 << 2 * self.t) - 1)
-        return 1 << self.k < self.label_space * fills
 
 
 def _ball(k: int, t: int, model: str) -> list:
@@ -674,12 +655,12 @@ class QaryBlockLabeler:
         (a, l1, l2) puts l1 symbols of the alphabet in place of the l2
         symbols of z from its a-th (1-based).
 
-        Solved row by row: target splits into one label digit per row, each
-        row keeps the blocks of its digit that a slot makes from z's row, and
-        the rows join into blocks whose filled columns are alphabet symbols.
-        A row's blocks come from the oracle's label index when a label holds
-        fewer blocks than the slots fill (2^k < label_space * sum of 2^l1,
-        summed only if the oracle `may_index`), else from each slot's fills."""
+        Solved row by row from the oracle's label index: target splits into
+        one label digit per row, and each row keeps the blocks of its digit
+        that some slot makes from z's row.  Slot (a, l1, l2) makes v from z's
+        row exactly when a - 1 <= pre and low <= suf, the lengths of their
+        common prefix and suffix; the rows join into blocks whose filled
+        columns are alphabet symbols."""
         oracle = self.oracles[k]
         space = oracle.label_space
         if target >= space ** self.nrows:
@@ -687,45 +668,7 @@ class QaryBlockLabeler:
         digits = [0] * self.nrows
         for r in reversed(range(self.nrows)):
             target, digits[r] = divmod(target, space)
-        if oracle.may_index:
-            slots = list(slots)
-            if 1 << k < space * sum([1 << l1 for _, l1, _ in slots]):
-                return self._solve_indexed(zrows, zlen, k, slots, digits)
-        return self._solve_scanned(zrows, zlen, k, slots, digits)
-
-    def _fits(self, block: tuple, low: int, l1: int) -> bool:
-        """Whether the block's columns low .. low + l1 - 1, from its end, hold alphabet symbols."""
-        cols = (sum((v >> j & 1) << r for r, v in enumerate(block)) for j in range(low, low + l1))
-        return self.allowed.issuperset(cols)
-
-    def _solve_scanned(self, zrows, zlen, k, slots, digits) -> set:
-        """solve's blocks from each slot's l1-bit fills of every row."""
-        labels = self.oracles[k].labels
-        found = set()
-        for a, l1, l2 in slots:
-            low = zlen - a + 1 - l2  # bits of z after the replaced ones
-            step = 1 << low
-            fills = []
-            for z, digit in zip(zrows, digits):
-                base = ((z >> (low + l2)) << (l1 + low)) | (z & (step - 1))
-                row = [
-                    v for v in range(base, base + (step << l1), step)
-                    if labels[v] == digit
-                ]
-                if not row:
-                    break
-                fills.append(row)
-            else:
-                blocks = product(*fills)
-                if len(self.allowed) < 1 << self.nrows:
-                    blocks = (b for b in blocks if self._fits(b, low, l1))
-                found.update(blocks)
-        return found
-
-    def _solve_indexed(self, zrows, zlen, k, slots, digits) -> set:
-        """solve's blocks from the label index: slot (a, l1, l2) makes v from z's row exactly
-        when a - 1 <= pre and low <= suf, the lengths of their common prefix and suffix."""
-        order, starts = self.oracles[k].by_label
+        order, starts = oracle.by_label
         shapes = [(a - 1, l1, zlen - a + 1 - l2) for a, l1, l2 in slots]
         # need[p]: the least low of a slot that keeps at most p top bits
         need = [zlen + 1] * (zlen + 1)
@@ -752,14 +695,19 @@ class QaryBlockLabeler:
                 found.add(block)
         return found
 
+    def _fits(self, block: tuple, low: int, l1: int) -> bool:
+        """Whether the block's columns low .. low + l1 - 1, from its end, hold alphabet symbols."""
+        cols = (sum((v >> j & 1) << r for r, v in enumerate(block)) for j in range(low, low + l1))
+        return self.allowed.issuperset(cols)
+
 
 class BlockLabeler(QaryBlockLabeler):
     """Label lookup for binary blocks of the lengths appearing in a split:
     the one-row labeler, whose fills are all bit strings.
 
-    `rows` and `label` are the one-row case written out: they run for every
-    block of every decode, where the general loops over rows made a ctb
-    decode about 5% slower."""
+    `rows`, `label` and `solve` are the one-row case written out, because
+    ctb runs them for every block of every decode, where the general loops
+    over rows made a ctb decode about 5% slower."""
 
     def __init__(self, oracles: dict):
         super().__init__(2, oracles, (0, 1))
@@ -770,6 +718,19 @@ class BlockLabeler(QaryBlockLabeler):
 
     def label(self, rows: tuple, shift: int, k: int) -> int:
         return self.oracles[k].labels[(rows[0] >> shift) & ((1 << k) - 1)]
+
+    def solve(self, zrows: list, zlen: int, k: int, slots, target: int) -> set:
+        """The blocks with label `target` among each slot's fills of z: every
+        bit string is a fill, so none is joined or filtered."""
+        labels = self.oracles[k].labels
+        (z,) = zrows
+        found = set()
+        for a, l1, l2 in slots:
+            low = zlen - a + 1 - l2  # bits of z after the replaced ones
+            step = 1 << low
+            base = ((z >> (low + l2)) << (l1 + low)) | (z & (step - 1))
+            found.update((v,) for v in range(base, base + (step << l1), step) if labels[v] == target)
+        return found
 
 
 # ---------------------------------------------------------------------------

@@ -207,6 +207,12 @@ class TestSieveVerifyDecode:
         )
         assert code == USAGE_ERROR
         assert "P = 6" in err and not out
+        code, out, err = run(
+            capsys, "decode", "--book", str(book), "--received", received,
+            "--window", "5:3",
+        )
+        assert code == USAGE_ERROR
+        assert "1 <= LO <= HI" in err and not out
         code, out, _ = run(
             capsys, "decode", "--book", str(book), "--received", received,
             "--window", "9:14",

@@ -4,7 +4,6 @@ import hashlib
 import itertools
 import math
 import random
-from array import array
 from dataclasses import astuple
 
 import pytest
@@ -35,7 +34,6 @@ from burstcodes.tburst import (
     CtbParams,
     DensityParams,
     QaryBlockLabeler,
-    SyndromeOracle,
     _RUN_BITS,
     _ball,
     _burst_candidates,
@@ -907,8 +905,9 @@ class TestBlockSolve:
         # the row-wise solve finds exactly the blocks the q-ary filter did.
         # Fills within the oracle's error model make blocks confusable with
         # each other, which the oracle labels apart; several fills meet a
-        # target only for a burst longer than the oracle's t.  The q-ary
-        # burst labeler leaves symbol 0 out of its alphabet
+        # target only for a burst longer than the oracle's t.  The binary
+        # labeler scans each slot's fills, the q-ary ones read the label
+        # index; the q-ary burst labeler leaves symbol 0 out of its alphabet
         if kind == "binary":
             labeler = BlockLabeler({k: oracle_build_brute(k, 2, "burst") for k in (8, 16)})
         elif kind == "qary":
@@ -939,14 +938,7 @@ class TestBlockSolve:
                 block = z[: a - 1] + m + z[a - 1 + l2 :]
                 target = labeler.label(labeler.rows(block), 0, k)
             want = _qary_filter(labeler, z, k, slots, target)
-            zrows = labeler.rows(z)
-            assert labeler.solve(zrows, zlen, k, slots, target) == want
-            # both sources of solve, whichever of them it picks here
-            space, nrows = oracle.label_space, labeler.nrows
-            if target < space**nrows:
-                digits = [target // space**r % space for r in reversed(range(nrows))]
-                assert labeler._solve_indexed(zrows, zlen, k, slots, digits) == want
-                assert labeler._solve_scanned(zrows, zlen, k, slots, digits) == want
+            assert labeler.solve(labeler.rows(z), zlen, k, slots, target) == want
             sizes[min(len(want), 2)] += 1
         assert sizes[0] and sizes[1], sizes
         assert sizes[2] or kind == "edit", sizes
@@ -958,31 +950,11 @@ class TestBlockSolve:
         oracle = first.oracles[12]
         vars(oracle).pop("by_label", None)
         z = (1, 2, 3, 4, 5, 6, 1, 2, 3, 4)
-        slots = list(_edit_candidates(10, 1, 12, 2, 2))  # l1 up to 4: the index
+        slots = list(_edit_candidates(10, 1, 12, 2, 2))
         first.solve(first.rows(z), 10, 12, slots, 0)
         index = vars(oracle)["by_label"]
         second.solve(second.rows(z), 10, 12, slots, 0)
         assert vars(second.oracles[12])["by_label"] is index
-
-    @pytest.mark.parametrize("k,t", [(6, 1), (8, 2), (12, 2), (16, 2)])
-    def test_index_gate_bounds_every_slot_set(self, k, t):
-        # solve skips the fill count where may_index is False, so there no
-        # slot set of a burst or edit of at most t symbols may pick the index
-        for model in ("burst", "edit"):
-            most = max(
-                sum(1 << l1 for _, l1, _ in (
-                    _burst_candidates(k - tp, lo, hi, tp) if model == "burst"
-                    else _edit_candidates(k - tp, lo, hi, tp, t)
-                ))
-                for tp in range(1, t + 1) for lo in range(1, k + 1) for hi in range(lo, k + 1)
-            )
-            gates = [
-                SyndromeOracle(k, t, model, array("I"), space).may_index
-                for space in range(1, (1 << k) + 1)
-            ]
-            assert not all(gates) and any(gates)
-            for space, gate in enumerate(gates, 1):
-                assert gate or 1 << k >= space * most
 
     @pytest.mark.parametrize("q", [2, 7, 256, 257, 1 << 16])
     def test_rows_match_the_bit_matrix(self, q):
