@@ -1,12 +1,18 @@
 """Classical single-burst codes: VT, Tenengol'ts, the psi-form two-deletion
 code, and the induced-deletion code over alternating q-ary sequences.
 
-Decoders raise NotDecodableError instead of ever returning a wrong answer;
-every reconstruction is validated against the residues and the burst channel
-before being returned.
+Decoders raise NotDecodableError instead of ever returning a wrong answer.
+The psi-domain decoders (here levenshtein and induced, in pll2burst the
+window-bounded one) recover y = psi(x) from psi of the received word with
+one generator, _reinsertions, that puts back every burst of t' deletions
+whose VT change matches the residue: each y it yields has the residue and
+the burst by construction.  vt_decode validates its reconstruction against
+the residue and the burst channel before returning it.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import product
 from operator import le
 
 from .seqcore import (
@@ -74,8 +80,10 @@ def vt_decode(xp: tuple, a: int, n: int) -> tuple:
     w = sum(xp)
     delta = (a - vt_syndrome(xp)) % (n + 1)
     if delta <= w:
-        # a 0 was deleted with delta ones to its right
-        x = _insert_zero_before_ones(xp, delta, (0,))
+        # a 0 was deleted with delta ones to its right: just before the
+        # delta-th one from the end
+        pos = [*(i for i, s in enumerate(xp) if s), len(xp)][w - delta]
+        x = xp[:pos] + (0,) + xp[pos:]
     else:
         # a 1 was deleted with delta - w - 1 zeros to its left: just past
         # that many zeros (xp holds n - 1 - w >= delta - w - 1 of them)
@@ -85,20 +93,6 @@ def vt_decode(xp: tuple, a: int, n: int) -> tuple:
     if vt_syndrome(x) % (n + 1) != a or not any(burst_starts(x, xp, 1)):
         raise NotDecodableError("no VT codeword consistent with input")
     return x
-
-
-def _insert_zero_before_ones(xp: tuple, r1: int, bits: tuple) -> tuple:
-    """Insert `bits` so exactly r1 ones of xp lie to their right."""
-    # rightmost position with exactly r1 <= sum(xp) ones to its right
-    seen = 0
-    pos = len(xp)
-    for i in range(len(xp) - 1, -1, -1):
-        if seen == r1 and xp[i] == 1:
-            break
-        pos = i
-        if xp[i] == 1:
-            seen += 1
-    return xp[:pos] + bits + xp[pos:]
 
 
 def tenengolts_decode(up: tuple, a: int, b: int, n: int, q: int) -> tuple:
@@ -118,80 +112,37 @@ def tenengolts_decode(up: tuple, a: int, b: int, n: int, q: int) -> tuple:
     return matches.pop()
 
 
-def _one_deletion_candidates(yp: tuple, delta: int, modulus: int) -> list:
-    """Reconstructions of y from y' after one deletion in the underlying x.
+@lru_cache(maxsize=None)
+def _z_table(tp: int) -> tuple:
+    """The bits a t'-burst reinsertion puts back into y = psi(x): (VT(z), z)
+    for every t'-bit prefix z, and per parity b, (wt(z) - b, VT(z) - wt(z),
+    z) for every (t' + 1)-bit z of xor b."""
+    prefix = tuple((vt_syndrome(z), z) for z in product((0, 1), repeat=tp))
+    spans = ([], [])
+    for z in product((0, 1), repeat=tp + 1):
+        w = sum(z)
+        spans[w % 2].append((w - w % 2, vt_syndrome(z) - w, z))
+    return prefix, tuple(map(tuple, spans))
 
-    One deletion in x replaces an adjacent pair of y by its xor (or drops
-    y_1).  Dispatch on delta = VT(y) - VT(y') mod modulus vs w = wt(y'),
-    comparing per candidate residue.
+
+def _reinsertions(yp: tuple, tp: int, delta: int, modulus: int) -> set:
+    """Every y with VT(y) - VT(yp) = delta (mod modulus) such that a burst
+    of tp deletions turns psi_inv(y) into psi_inv(yp).
+
+    A burst at s >= 2 of x replaces y_{s-1} .. y_{s+tp-1} of y = psi(x) by
+    their xor, and one at s = 1 drops y_1 .. y_tp.  Putting z back at
+    1-based position j of yp, in place of yp_j, adds j (wt(z) - yp_j) +
+    VT(z) - wt(z) + tp R to VT, where R counts the ones of yp after j.
     """
-    w = sum(yp)
-    out = []
-
-    def hit(value: int) -> bool:
-        return value % modulus == delta
-
-    # a 0 of y was deleted: delta = R1 (ones right of it)
-    for r1 in range(w + 1):
-        if hit(r1):
-            out.append(_insert_zero_before_ones(yp, r1, (0,)))
-    # first bit 1 of y deleted: delta = w + 1
-    if hit(w + 1):
-        out.append((1,) + yp)
-    # a pair 11 of y collapsed to 0: delta = 2p + 1 + R1(p)
-    r1 = 0
-    for p in range(len(yp), 0, -1):
-        if yp[p - 1] == 0:
-            if hit(2 * p + 1 + r1):
-                out.append(yp[: p - 1] + (1, 1) + yp[p:])
-        else:
-            r1 += 1
-    return out
-
-
-def _two_deletion_candidates(yp: tuple, delta: int, modulus: int) -> list:
-    """Reconstructions of y from y' after two consecutive deletions in x.
-
-    Two consecutive deletions replace an adjacent triple of y by its xor
-    (or drop a length-2 prefix).  Cases keyed on parity of delta vs 2w.
-    """
-    w = sum(yp)
-    out = []
-
-    def hit(value: int) -> bool:
-        return value % modulus == delta
-
-    # 010 collapsed to 1: delta = 2*R1 + 1, replace a 1 by 010
-    r1 = 0
-    for p in range(len(yp), 0, -1):
-        if yp[p - 1] == 1:
-            if hit(2 * r1 + 1):
-                out.append(yp[: p - 1] + (0, 1, 0) + yp[p:])
-            r1 += 1
-    # 00 deleted (covers 000->0, 001->1, 100->1): delta = 2*R1
-    for r1 in range(w + 1):
-        if hit(2 * r1):
-            out.append(_insert_zero_before_ones(yp, r1, (0, 0)))
-    # prefix 10 / 01 of y deleted
-    if hit(2 * w + 1):
-        out.append((1, 0) + yp)
-    if hit(2 * w + 2):
-        out.append((0, 1) + yp)
-    # 11 inserted back (covers 011/110/111 collapses): delta = 2p + 1 + 2*R1(p)
-    r1 = 0
-    for p in range(len(yp) + 1, 0, -1):
-        if hit(2 * p + 1 + 2 * r1):
-            out.append(yp[: p - 1] + (1, 1) + yp[p - 1 :])
-        if p >= 2 and yp[p - 2] == 1:
-            r1 += 1
-    # 101 collapsed to 0: delta = 2p + 2 + 2*R1(p), replace a 0 by 101
-    r1 = 0
-    for p in range(len(yp), 0, -1):
-        if yp[p - 1] == 0:
-            if hit(2 * p + 2 + 2 * r1):
-                out.append(yp[: p - 1] + (1, 0, 1) + yp[p:])
-        else:
-            r1 += 1
+    prefix, spans = _z_table(tp)
+    r = sum(yp)
+    out = {z + yp for vt, z in prefix if (vt + tp * r - delta) % modulus == 0}
+    for j, b in enumerate(yp, 1):
+        r -= b
+        rest = tp * r - delta
+        for dw, vt, z in spans[b]:
+            if (j * dw + vt + rest) % modulus == 0:
+                out.add(yp[: j - 1] + z + yp[j:])
     return out
 
 
@@ -207,19 +158,11 @@ def levenshtein_decode(xp: tuple, a: int, n: int) -> tuple:
         return xp
     yp = psi(xp)
     delta = (a - vt_syndrome(yp)) % (2 * n)
-    if t == 1:
-        ys = _one_deletion_candidates(yp, delta, 2 * n)
-    else:
-        ys = _two_deletion_candidates(yp, delta, 2 * n)
-    found = set()
-    for y in ys:
-        x = psi_inv(y)
-        # never fails (0 of 47,103 candidates at n <= 11): it guards the contract
-        if vt_syndrome(y) % (2 * n) == a and any(burst_starts(x, xp, 2)):
-            found.add(x)
-    if len(found) != 1:
+    ys = _reinsertions(yp, t, delta, 2 * n)
+    # each y has VT(y) = a (mod 2n) only when a lies in [0, 2n)
+    if len(ys) != 1 or not 0 <= a < 2 * n:
         raise NotDecodableError("no unique codeword consistent with input")
-    return found.pop()
+    return psi_inv(ys.pop())
 
 
 def induced_deletions(u: tuple) -> list:
@@ -234,17 +177,17 @@ def induced_deletions(u: tuple) -> list:
 def induced_decode(up: tuple, a: int, b: int, c: int, n: int, q: int) -> tuple:
     """Recover the alternating codeword after one induced deletion aba -> a.
 
-    Four-step procedure: repair psi of the interleaved ascent image (the
-    change is one of: delete 11, delete 00, 010->1, 101->0), split into the
-    odd/even ascent images, recover the two deleted values from the sum
-    residues, then reinsert them Tenengol'ts-style in each half.
+    Four-step procedure: repair psi of the interleaved ascent image (every
+    two-deletion reinsertion with its VT residue), split into the odd/even
+    ascent images, recover the two deleted values from the sum residues,
+    then reinsert them Tenengol'ts-style in each half.
     """
     check_symbols(up, q)
     if len(up) != n - 2:
         raise ValueError("induced_decode expects length n-2")
     yp = interleaved_psi(up)
     delta = (a - vt_syndrome(yp)) % (2 * n)
-    candidates = _two_deletion_candidates(yp, delta, 2 * n)
+    candidates = _reinsertions(yp, 2, delta, 2 * n)
     v_odd = (b - sum(up[0::2])) % q
     v_even = (c - sum(up[1::2])) % q
     found = set()

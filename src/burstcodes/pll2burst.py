@@ -6,12 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .classic import (
-    _one_deletion_candidates,
-    _two_deletion_candidates,
-    levenshtein_decode,
-    levenshtein_residues,
-)
+from .classic import _reinsertions, levenshtein_decode, levenshtein_residues
 from .seqcore import (
     Interval,
     NotDecodableError,
@@ -146,9 +141,10 @@ def pbounded_member(x: tuple, params: PBoundedParams) -> bool:
 def pbounded_decode(xp: tuple, params: PBoundedParams, m: int) -> tuple:
     """Correct a burst of <= 2 deletions known to start in [m, m+P-1].
 
-    Candidates come from the one- and two-deletion case analysis with the VT
-    residue taken mod 2P; the weight residue mod 3 and the window consistency
-    check then pin down the unique codeword.
+    Candidates are every reinsertion of the burst into psi(xp) whose VT
+    change matches the residue mod 2P (classic._reinsertions); the weight
+    residue mod 3 and the window consistency check then pin down the unique
+    codeword.
     """
     check_binary(xp)
     n, P = params.n, params.P
@@ -161,12 +157,8 @@ def pbounded_decode(xp: tuple, params: PBoundedParams, m: int) -> tuple:
         return xp
     yp = psi(xp)
     delta = (params.c - vt_syndrome(yp)) % (2 * P)
-    if t == 1:
-        ys = _one_deletion_candidates(yp, delta, 2 * P)
-    else:
-        ys = _two_deletion_candidates(yp, delta, 2 * P)
     found = set()
-    for y in ys:
+    for y in _reinsertions(yp, t, delta, 2 * P):
         if sum(y) % 3 != params.d:
             continue
         x = psi_inv(y)

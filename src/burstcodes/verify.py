@@ -46,6 +46,7 @@ from .seqcore import (
 SCHEMA_VERSION = 1
 DEFAULT_BUDGET = 1 << 24
 SAMPLES = 3000  # pool size of a sampled sieve
+NODE_BUDGET = 20_000_000  # nodes an exact search expands before it gives up
 
 
 class EmptyBookError(Exception):
@@ -764,16 +765,14 @@ def _greedy_independent(adj: list, cand: int) -> int:
     return size
 
 
-def _max_independent_set(
-    adj: list, upper: int, node_budget: int = 20_000_000, cand: Optional[int] = None
-) -> int:
+def _max_independent_set(adj: list, upper: int, cand: Optional[int] = None) -> int:
     """Exact MIS among the vertices of the mask ``cand`` (default: all):
     branch and bound on the complement graph (max clique) with a
     greedy-coloring upper bound, seeded by a greedy lower bound.  The
     search stops as soon as it finds a set of size ``upper``, a known upper
     bound on the answer.
 
-    Raises RuntimeError when the search exceeds ``node_budget`` branch nodes,
+    Raises RuntimeError when the search exceeds NODE_BUDGET branch nodes,
     so intractable instances fail loudly instead of running unbounded.
     """
     n = len(adj)
@@ -792,7 +791,7 @@ def _max_independent_set(
     def expand(size: int, cand: int) -> None:
         nonlocal best, nodes
         nodes += 1
-        if nodes > node_budget:
+        if nodes > NODE_BUDGET:
             raise RuntimeError("independent-set search exceeded node budget")
         # color the candidates greedily; a clique can take at most one
         # vertex per color class, so the class index bounds the extension
@@ -874,7 +873,7 @@ def max_perm_code_exact(n: int, t: int, budget: int = 1 << 14) -> int:
 
 
 def exists_perm_code(
-    n: int, t: int, size: int, budget: int = 1 << 14, node_budget: int = 20_000_000
+    n: int, t: int, size: int, budget: int = 1 << 14, node_budget: int = NODE_BUDGET
 ) -> bool:
     """Complete search deciding whether S_n contains ``size`` permutations
     whose D_{<=t} burst-deletion balls are pairwise disjoint.

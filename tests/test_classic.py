@@ -4,6 +4,7 @@ Ground truth throughout is exhaustive enumeration: sieve a parameter class
 over the whole ambient space, corrupt every codeword every admissible way,
 and require exact recovery.
 """
+import hashlib
 import random
 from functools import lru_cache
 from itertools import product
@@ -44,6 +45,7 @@ from burstcodes.seqcore import (
     deletion_ball,
     phi,
     psi,
+    psi_inv,
     vt_syndrome,
 )
 from burstcodes.tburst import (
@@ -128,6 +130,30 @@ class TestLevenshtein:
         )
         with pytest.raises(NotDecodableError):
             levenshtein_decode(bad, a, 8)
+
+
+def _burst_parents(yp, tp):
+    """(VT(y) - VT(yp), y) for every y of length |yp| + tp such that a burst
+    of tp deletions turns psi_inv(y) into psi_inv(yp)."""
+    xp = psi_inv(yp)
+    return [
+        (vt_syndrome(y) - vt_syndrome(yp), y)
+        for y in product((0, 1), repeat=len(yp) + tp)
+        if any(burst_starts(psi_inv(y), xp, tp))
+    ]
+
+
+@pytest.mark.parametrize("tp", [1, 2])
+def test_reinsertions_match_burst_parents(tp):
+    # the generator against its definition, on every yp of length <= 7, with
+    # the moduli of levenshtein and induced (2n) and of pbounded (2P)
+    for length in range(8):
+        for yp in product((0, 1), repeat=length):
+            parents = _burst_parents(yp, tp)
+            for modulus in (2 * (length + tp), 4, 6):
+                for delta in range(modulus):
+                    expected = {y for d, y in parents if d % modulus == delta}
+                    assert classic._reinsertions(yp, tp, delta, modulus) == expected
 
 
 class TestInduced:
@@ -385,3 +411,80 @@ def test_decoder_contract_on_arbitrary_input(family, n):
         assert holds(got)
         outcomes["decoded"] += 1
     assert outcomes["decoded"] > 0
+
+
+def _psi_decode_outcomes():
+    """Outcome (decoded word, or refusal message) of the psi-domain decoders
+    on: every levenshtein input of length n, n - 1, n - 2 at n = 3..11 and
+    a = -1..2n; every pbounded input of length n - 1, n - 2 at n = 4..8
+    with every (c, d), P in {2, 3, n // 2, n} and m in {1, n // 2, n};
+    every induced input over q = 3 at n = 6 with every (a, b, c); and
+    seeded inputs at larger n, half of them a codeword less a burst."""
+    def outcome(decode, *args):
+        try:
+            return decode(*args)
+        except NotDecodableError as exc:
+            return str(exc)
+
+    outs = []
+    for n in range(3, 12):
+        for tp in (0, 1, 2):
+            for xp in product((0, 1), repeat=n - tp):
+                for a in range(-1, 2 * n + 1):
+                    outs.append(outcome(levenshtein_decode, xp, a, n))
+    for n in range(4, 9):
+        for P in sorted({2, 3, n // 2, n}):
+            for tp in (1, 2):
+                for xp in product((0, 1), repeat=n - tp):
+                    for c, d, m in product(range(2 * P), range(3), (1, n // 2, n)):
+                        params = PBoundedParams(n, P, c, d)
+                        outs.append(outcome(pbounded_decode, xp, params, m))
+    for up in product(range(3), repeat=4):
+        for a, b, c in product(range(12), range(3), range(3)):
+            outs.append(outcome(induced_decode, up, a, b, c, 6, 3))
+    rng = random.Random("psi-decode-outcomes")
+    for n in (12, 16):
+        for _ in range(1500):
+            tp = rng.randint(1, 2)
+            x = _bits(rng, n)
+            s = rng.randint(1, n - tp + 1)
+            if rng.random() < 0.5:
+                xp = x[: s - 1] + x[s - 1 + tp :]
+                (a,) = levenshtein_residues(x, n)
+            else:
+                xp, a = _bits(rng, n - tp), rng.randrange(2 * n)
+            outs.append(outcome(levenshtein_decode, xp, a, n))
+            P = rng.choice((2, 3, n // 2, n))
+            c, d = pbounded_residues(x, P)
+            m = max(1, s - rng.randrange(P))
+            if rng.random() < 0.5:
+                c, d, m = rng.randrange(2 * P), rng.randrange(3), rng.randint(1, n)
+            params = PBoundedParams(n, P, c, d)
+            outs.append(outcome(pbounded_decode, xp, params, m))
+    for n, q in ((8, 4), (10, 4)):
+        for _ in range(1500):
+            u = _alternating(rng, n, q)
+            a, b, c = induced_residues(u, n, q)
+            spots = induced_deletions(u)
+            if spots and rng.random() < 0.5:
+                up = rng.choice(spots)[1]
+            else:
+                up = _alternating(rng, n - 2, q)
+                a, b, c = rng.randrange(2 * n), rng.randrange(q), rng.randrange(q)
+            outs.append(outcome(induced_decode, up, a, b, c, n, q))
+    return outs
+
+
+PSI_DECODE_DIGEST = (
+    "b1bcf708cde922b381136ebf83603168ceb0f852cc38997bb5494dd73ece79cb"
+)
+
+
+def test_psi_decode_outcomes_pinned():
+    # the digest was recorded from the hand-written one- and two-deletion
+    # case analyses that _reinsertions replaced, each decoder keeping its
+    # closing checks
+    outs = _psi_decode_outcomes()
+    assert sum(isinstance(o, str) for o in outs) < len(outs)
+    digest = hashlib.sha256(repr(outs).encode()).hexdigest()
+    assert digest == PSI_DECODE_DIGEST
