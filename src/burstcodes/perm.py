@@ -78,20 +78,7 @@ _rank = lru_cache(maxsize=4096)(_lehmer_rank)
 
 
 def _ranks(pi: tuple, t: int) -> tuple:
-    return tuple(map(_rank, zip(*(pi[k:] for k in range(t + 1)))))
-
-
-def lex_unrank(rank: int, k: int) -> tuple:
-    if not 1 <= rank <= factorial(k):
-        raise ValueError("rank out of range")
-    rank -= 1
-    avail = list(range(1, k + 1))
-    out = []
-    for i in range(k):
-        f = factorial(k - 1 - i)
-        idx, rank = divmod(rank, f)
-        out.append(avail.pop(idx))
-    return tuple(out)
+    return tuple(map(_rank, zip(*[pi[k:] for k in range(t + 1)])))
 
 
 def overlap_ranks(pi: tuple, t: int) -> tuple:

@@ -546,10 +546,16 @@ def oracle_build_brute(k: int, t: int, model: str) -> SyndromeOracle:
     descendants that earlier blocks of the run marked with their labels,
     and from the labels of its other earlier neighbours; the run's labels
     are written back after.
+
+    An edit block of k <= 4t bits needs no build: split two blocks as
+    x1x2 and y1y2, halves of at most 2t bits, and both reach y1x2 by one
+    edit, so every two blocks are confusable and the labels are the blocks.
     """
     if k > ORACLE_MAX_K:
         raise ValueError(f"oracle build limited to k <= {ORACLE_MAX_K}")
     shapes = _ball(k, t, model)
+    if model == "edit" and k <= 4 * t:
+        return SyndromeOracle(k, t, model, array("I", range(1 << k)), 1 << k)
     longest = max(k - l1 + l2 for _, l1, l2 in shapes)
     # descendant -> bit mask of the labels of blocks reaching it
     used = [0] * (2 << longest)

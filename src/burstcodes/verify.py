@@ -465,26 +465,23 @@ def _sieve_perm(n, t, delta, P, budget, **_) -> Codebook:
     dp = tburst.DensityParams(n, t, delta)
     dummy = perm_mod.PermCodeParams(n, t, delta, P, 0, 0, tburst.SUMS_SHAPE)
     labeler = perm_mod.perm_labeler(dummy)
-
-    # the residues depend on pi only through its half indicator and its
-    # ranking sequence, which many permutations share: each distinct one
-    # is computed once
-    locs, sums_of = {}, {}
-
-    def key(pi):
-        # the cheap density rejection runs before the ranking sequence
-        bp = perm_mod.bp_map(pi)
-        if bp not in locs:
-            locs[bp] = tburst.loc_residues(bp, dp)
-        loc = locs[bp]
-        if loc is None:
-            return None
-        p = perm_mod.overlap_ranks(pi, t)
-        if p not in sums_of:
-            sums_of[p] = tburst.block_syndromes(p, P, labeler)
-        return (*loc, sums_of[p])
-
-    (c0, c1, sums), words = _best_group(space, key)
+    # the residues depend on pi only through its half indicator (from pi's
+    # bytes by bp_map's own rule) and its ranking sequence (unchecked: pi's
+    # entries are distinct); many permutations share each pair, so group by
+    # the pair, then take the residues once per distinct part
+    half = bytes(perm_mod.bp_map(range(256), n))
+    pairs = defaultdict(list)
+    for pi in space:
+        pairs[bytes(pi).translate(half), perm_mod._ranks(pi, t)].append(pi)
+    locs = {bp: tburst.loc_residues(bp, dp) for bp in {bp for bp, _ in pairs}}
+    seqs = {p for bp, p in pairs if locs[bp]}
+    sums_of = {p: tburst.block_syndromes(p, P, labeler) for p in seqs}
+    classes = defaultdict(list)
+    for (bp, p), group in pairs.items():
+        if locs[bp]:
+            classes[(*locs[bp], sums_of[p])] += group
+    c0, c1, sums = _largest({k: len(g) for k, g in classes.items()})
+    words = classes[c0, c1, sums]
     params = {"delta": delta, "P": P, "c0": c0, "c1": c1, "sums": sums}
     return _book("perm", n, 0, t, params, words, factorial(n))
 

@@ -244,6 +244,8 @@ CONTRACT_BOOKS = {
     "ctb-q4": ("ctb", 12, {"q": 4, "t": 2, "delta": 6, "P": 8}, 2000),
     "ctb-q6": ("ctb", 12, {"q": 6, "t": 1, "delta": 4, "P": 4}, 4000),
     "perm": ("perm", 8, {"t": 2, "delta": 8, "P": 6}, 1000),
+    # t = 3: both edit oracles (k = 6 and 12 <= 4t) are identities
+    "perm-t3": ("perm", 9, {"t": 3, "delta": 8, "P": 6}, 1000),
 }
 
 
@@ -275,7 +277,7 @@ def _book_case(rng, label):
     n, q, t = book.spec.n, book.spec.q, book.spec.t
     if rng.random() < 0.5:
         w = rng.choice(book.words)
-    elif label == "perm":
+    elif book.spec.family == "perm":
         w = tuple(rng.sample(range(1, n + 1), n))
     else:
         w = tuple(rng.randrange(q) for _ in range(n))
@@ -283,7 +285,7 @@ def _book_case(rng, label):
     rx = list(apply_burst(w, Burst(rng.randint(1, n - d + 1), d)))
     if rng.random() < 0.5:
         i, j = rng.randrange(len(rx)), rng.randrange(len(rx))
-        if label == "perm":
+        if book.spec.family == "perm":
             rx[i], rx[j] = rx[j], rx[i]
         else:
             rx[i] = rng.randrange(q)

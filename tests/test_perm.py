@@ -10,7 +10,6 @@ from burstcodes.perm import (
     bp_map,
     is_balanced,
     lex_rank,
-    lex_unrank,
     overlap_ranks,
     perm_labeler,
     perm_member,
@@ -21,6 +20,20 @@ from burstcodes.perm import (
 from burstcodes.seqcore import Burst, NotDecodableError, apply_burst, bursts
 from burstcodes import verify
 from math import factorial
+
+
+def lex_unrank(rank: int, k: int) -> tuple:
+    """The permutation of [k] of 1-based lexicographic rank `rank`: the
+    reference lex_rank must invert."""
+    if not 1 <= rank <= factorial(k):
+        raise ValueError("rank out of range")
+    rank -= 1
+    avail = list(range(1, k + 1))
+    out = []
+    for i in range(k):
+        idx, rank = divmod(rank, factorial(k - 1 - i))
+        out.append(avail.pop(idx))
+    return tuple(out)
 
 
 class TestBpMap:

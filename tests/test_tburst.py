@@ -401,6 +401,10 @@ ORACLE_DIGESTS = [
     # the k = 20 table of acceptance criterion 06, cached when that test ran
     # first in the same process
     ("burst", 20, 3, 218, "871b2e6ebae53ba6fe24940a15c05e941fa19c326f6c6b24c4208488c1657360"),
+    # k <= 4t: the identity table, recorded from the brute build
+    ("edit", 4, 1, 16, "be2af200787b297ae18de0235bf1aa1e93bc1a2a398a7a6ab592f8dd6fdf67a9"),
+    ("edit", 10, 3, 1024, "2c29ea011b06b1c2f38af5aa2e4b80c3387d2e8dda64dbfbdbd691d75663be2b"),
+    ("edit", 12, 3, 4096, "f99b96d3d2642b72c61fce708fcbfdff585e37b5330509c7887fe3af3a7f1848"),
     ("edit", 6, 1, 33, "1177865bd0f7f52f3332ad3ebbbd62cf5cc31a71c75050e94d957fa9dd92573b"),
     ("edit", 6, 2, 64, "ccf91e2b960f51464b77d855d580f583fe4e1cf0472832315bad6d855cf732f6"),
     ("edit", 8, 1, 54, "f86e0007cbf58dbe4fb15d9125ca88e49ae945f305f578bb1645e1993842eebc"),
@@ -457,6 +461,16 @@ class TestOracles:
     def test_edit_model_confusability(self, k, t):
         oracle = oracle_build_brute(k, t, "edit")
         _assert_confusable_distinct(oracle, lambda u: _edit_ball(u, t))
+
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_short_edit_blocks_all_confusable(self, t):
+        # the identity table of an edit oracle of k <= 4t bits is sound only
+        # if every two blocks' balls meet; one bit more and they need not
+        for k in range(1, 4 * t + 1):
+            balls = [_edit_ball(u, t) for u in itertools.product((0, 1), repeat=k)]
+            assert all(a & b for a, b in itertools.combinations(balls, 2))
+            assert oracle_build_brute(k, t, "edit").label_space == 1 << k
+        assert oracle_build_brute(4 * t + 1, t, "edit").label_space < 2 << 4 * t
 
     def test_size_cap(self):
         with pytest.raises(ValueError):

@@ -114,6 +114,10 @@ REGISTRY_BOOKS = [
     ("c2b", 10, {"q": 16, "max_words": 64}, "45cdbf30335ab1d959f06dd5b84e85396122efacd672f0d815caedd3be401653"),
     ("ctb", 12, {"q": 4, "t": 1, "delta": 4, "P": 4}, "3cb1099e4addf004976d9ccb041a10d93aac54bae4404dfc107021d8d0287401"),
     ("perm", 6, {"t": 1, "delta": 4, "P": 5}, "15ad549dbb106766bbac23d73fd797ed04dcbec83cdf865e6795e0601f7acb49"),
+    # perm-stream's book (168 words) and a t = 3 one (14 words), recorded
+    # before the perm sieve grouped S_n by (half indicator, ranking sequence)
+    ("perm", 8, {"t": 2, "delta": 8, "P": 6}, "a57a0a9889c10441a9879dec8de0ee9c09b546719d1cc2741a029b90eff84c62"),
+    ("perm", 7, {"t": 3, "delta": 6, "P": 4}, "1d1fdef4b0a99a07c66737ff3389214a37ba33ecfda93700eb0d7c5773f7d937"),
     # q = 6: the row products are filtered to symbols < 6 (257 of 4,000
     # and 60 of 578 words), and full_size is None
     ("c2b", 10, {"q": 6, "max_words": 4000}, "d27be1aa8a7e19a60ffe9e855774c50937c6ad81ba9b6c31dd300fa439765053"),
