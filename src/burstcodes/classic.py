@@ -185,6 +185,11 @@ def induced_decode(up: tuple, a: int, b: int, c: int, n: int, q: int) -> tuple:
     check_symbols(up, q)
     if len(up) != n - 2:
         raise ValueError("induced_decode expects length n-2")
+    # each candidate u has interleaved_psi(u) = y, whose VT is a mod 2n, and
+    # halves summing to b and c mod q: its residues are (a, b, c) exactly
+    # when these lie in range
+    if not (0 <= a < 2 * n and 0 <= b < q and 0 <= c < q):
+        raise NotDecodableError("no unique codeword consistent with input")
     yp = interleaved_psi(up)
     delta = (a - vt_syndrome(yp)) % (2 * n)
     candidates = _reinsertions(yp, 2, delta, 2 * n)
@@ -198,11 +203,7 @@ def induced_decode(up: tuple, a: int, b: int, c: int, n: int, q: int) -> tuple:
         for uo in half:
             for ue in other:
                 u = _interleave(uo, ue)
-                if (
-                    is_alternating(u)
-                    and induced_residues(u, n, q) == (a, b, c)
-                    and any(res == up for _, res in induced_deletions(u))
-                ):
+                if is_alternating(u) and any(res == up for _, res in induced_deletions(u)):
                     found.add(u)
     if len(found) != 1:
         raise NotDecodableError("no unique codeword consistent with input")

@@ -35,16 +35,11 @@ def bp_map(pi: tuple, n: int = 0) -> tuple:
     return tuple(1 if v > n / 2 else 0 for v in pi)
 
 
-def is_balanced(b: tuple, n: int) -> bool:
-    return sum(b) == (n + 1) // 2
-
-
 def perm_locate(bp: tuple, c0: int, c1: int, dp: DensityParams) -> Interval:
     """Localize a burst from the (possibly shortened) half-indicator string;
-    candidate reinsertions must land in the balanced localization code."""
-    return locate_burst(
-        bp, c0, c1, dp, extra_check=lambda x: is_balanced(x, dp.n)
-    )
+    candidate reinsertions must land in the balanced localization code,
+    whose words hold (n + 1) // 2 ones."""
+    return locate_burst(bp, c0, c1, dp, ones=(dp.n + 1) // 2)
 
 
 def prj(u: tuple) -> tuple:

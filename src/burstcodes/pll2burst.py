@@ -16,7 +16,6 @@ from .seqcore import (
     burst_starts,
     ceil_log2,
     check_binary,
-    check_symbols,
     from_matrix,
     longest_period2,
     matrix_rows,
@@ -202,7 +201,6 @@ class C2BParams:
 def c2b_member(u: tuple, params: C2BParams) -> bool:
     if len(u) != params.n:
         return False
-    check_symbols(u, params.q)
     rows = to_matrix(u, params.q)
     if pll_lev_residues(rows[0], params.n) != (params.a,):
         return False
@@ -215,7 +213,6 @@ def c2b_member(u: tuple, params: C2BParams) -> bool:
 def c2b_decode(up: tuple, params: C2BParams) -> tuple:
     """Decode row 1, localize the burst from it, then window-decode the
     remaining rows of the bit matrix and reassemble."""
-    check_symbols(up, params.q)
     n = params.n
     t = n - len(up)
     if t not in (0, 1, 2):

@@ -113,19 +113,20 @@ def locate_burst(
     c0: int,
     c1: int,
     dp: DensityParams,
-    extra_check: Optional[Callable[[tuple], bool]] = None,
+    ones: Optional[int] = None,
 ) -> Interval:
     """Interval covering every burst position consistent with the syndromes.
 
     A start s is consistent when reinserting some tprime bits at s gives a
-    member of the localization code (that also passes extra_check); the code
-    design keeps all consistent starts within a window of length delta.
+    member of the localization code (with `ones` ones, when given); the
+    code design keeps all consistent starts within a window of length delta.
 
     The pattern occurrences of xp are found once.  A reinsertion at s keeps
     the windows of xp that end before s - 1 and shifts those from s on by
     tprime, so only the windows across the inserted bits are recomputed;
     the residues and the largest gap then come from prefix sums and from
-    prefix and suffix maxima of the gaps of xp.
+    prefix and suffix maxima of the gaps of xp.  No reinsertion is built:
+    each fill enters only through its summary in _seg_table.
     """
     check_binary(xp)
     n, t = dp.n, dp.t
@@ -150,6 +151,8 @@ def locate_burst(
     # fills[(c0 - kept) % 4] would wrap c0 into 0..3, and the VT test c1 into 0..2n-1
     if c0 not in range(4) or c1 not in range(2 * n):
         raise NotDecodableError("localization syndromes inconsistent")
+    # the ones a fill must hold (None: any fill)
+    need = None if ones is None else ones - sum(xp)
     starts, a, b = [], 0, 0
     occ.append(n + 1)  # past every start: the pointers below stop at it
     for s in range(1, len(xp) + 2):
@@ -168,7 +171,7 @@ def locate_burst(
         # loc_residues' VT, (count + 1) * end - sum of the positions, less c1,
         # without the fill's count and positions (the two change together)
         vt = (kept + 1) * end - pre[a] - pre[total] + pre[b] - tprime * (total - b) - c1
-        for bits, cnt, cnt_sum, first, last, inner in fills:
+        for weight, cnt, cnt_sum, first, last, inner in fills:
             if (vt + cnt * (end - i0) - cnt_sum) % (2 * n):
                 continue
             kept_gap = max(head[a], tail[b])
@@ -180,7 +183,7 @@ def locate_burst(
                 gap = max(kept_gap, after - before)
             if gap > dp.delta:
                 continue
-            if extra_check is None or extra_check(xp[: s - 1] + bits + xp[s - 1 :]):
+            if need is None or weight == need:
                 starts.append(s)
                 break
     if not starts:
@@ -190,18 +193,19 @@ def locate_burst(
 
 @lru_cache(maxsize=1 << 14)
 def _seg_table(wb: bytes, tprime: int, left: bytes, right: bytes) -> tuple:
-    """The tprime-bit fills grouped by their count of wb mod 4, each group in
-    product order: per fill, the fill and the count, position sum, first and
-    last position (1-based in seg = left + fill + right) and largest gap
-    between neighbours of the occurrences of wb in seg.  left and right hold
-    fewer than 2t bits each, so there are about 2^(4t) * t keys at most:
-    512 at t = 2, 12,288 at t = 3."""
-    out = ([], [], [], [])
+    """The distinct summaries of the tprime-bit fills, grouped by their
+    count of wb mod 4: per fill, its ones and the count, position sum,
+    first and last position (1-based in seg = left + fill + right) and
+    largest gap between neighbours of the occurrences of wb in seg.  Fills
+    with equal summaries share one entry.  left and right hold fewer than
+    2t bits each, so there are about 2^(4t) * t keys at most: 512 at t = 2,
+    12,288 at t = 3."""
+    out = ({}, {}, {}, {})
     for bits in product((0, 1), repeat=tprime):
         new = _occurrences(left + bytes(bits) + right, wb)
         ends = (new[0], new[-1]) if new else (0, 0)
         inner = max(map(sub, new[1:], new), default=0)
-        out[len(new) % 4].append((bits, len(new), sum(new), *ends, inner))
+        out[len(new) % 4][sum(bits), len(new), sum(new), *ends, inner] = None
     return tuple(map(tuple, out))
 
 
@@ -408,13 +412,15 @@ def _ball(k: int, t: int, model: str) -> list:
     # replace a substring of length l1 <= 2t by any string of length
     # l2 <= 2t (identity included).  Widened by a neighbouring bit of v,
     # which a fill one bit longer can put back, a replacement yields all it
-    # did: only those that cannot widen (l1 or l2 = 2t, or l1 = k) count
+    # did: only those that cannot widen (l1 or l2 = 2t) count.  A whole
+    # block of k < 2t bits cannot widen either, but such an oracle is the
+    # identity (k <= 4t) and is built without the shapes
     return [
         (s, l1, l2)
         for l1 in range(2 * t + 1)
         for l2 in range(2 * t + 1)
         for s in range(k - l1 + 1)
-        if 2 * t in (l1, l2) or l1 == k
+        if 2 * t in (l1, l2)
     ]
 
 
@@ -923,7 +929,6 @@ def ctb_oracles(params: CtbParams) -> dict:
 def ctb_member(u: tuple, params: CtbParams, labeler: BlockLabeler) -> bool:
     if len(u) != params.n:
         return False
-    check_symbols(u, params.q)
     rows = to_matrix(u, params.q)
     if not loc_member(rows[0], params.c0, params.c1, params.density):
         return False
@@ -936,7 +941,6 @@ def ctb_member(u: tuple, params: CtbParams, labeler: BlockLabeler) -> bool:
 def ctb_decode(up: tuple, params: CtbParams, labeler: BlockLabeler) -> tuple:
     """Localize the burst from row 1 of the bit matrix, then block-decode
     every row with the shared window and reassemble."""
-    check_symbols(up, params.q)
     n = params.n
     tprime = n - len(up)
     if tprime == 0:

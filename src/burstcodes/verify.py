@@ -39,6 +39,7 @@ from .seqcore import (
     apply_burst,
     bursts,
     deletion_ball,
+    from_matrix,
     matrix_rows,
     psi,  # unused here: the benchmark's tracer test checks it is rebound
 )
@@ -47,6 +48,7 @@ SCHEMA_VERSION = 1
 DEFAULT_BUDGET = 1 << 24
 SAMPLES = 3000  # pool size of a sampled sieve
 NODE_BUDGET = 20_000_000  # nodes an exact search expands before it gives up
+EXACT_BUDGET = 1 << 14  # the largest space an exact search enumerates
 
 
 class EmptyBookError(Exception):
@@ -332,17 +334,18 @@ def _induced_walk(n: int, q: int) -> tuple:
     return (-1, -1, 1, 0, 0, 0), step, key
 
 
-def _row_product(rows: list, n: int, q: int, max_words: int) -> tuple:
+def _row_product(rows: list, q: int, max_words: int) -> tuple:
     """(words, full size) of the book whose bit-matrix row r is taken from
     the book rows[r]: the first max_words words of the row product, in
     product order, less those with a symbol >= q.  The full size is the
     size of the row product, or None when q is not a power of two and the
     product overcounts.  EmptyBookError when no word is left."""
-    words = (
-        tuple(sum(bits[j] << r for r, bits in enumerate(combo)) for j in range(n))
-        for combo in islice(product(*rows), max_words)
-    )
-    words = [u for u in words if max(u) < q]
+    words = []
+    for combo in islice(product(*rows), max_words):
+        try:
+            words.append(from_matrix(combo, q))
+        except ValueError:  # a column decodes to a symbol >= q
+            pass
     if not words:
         raise EmptyBookError(
             f"empty row product: no word has every symbol below q = {q}"
@@ -371,7 +374,7 @@ def _sieve_c2b(n, q, budget, max_words, **_) -> Codebook:
         "a": books[0].spec.params["a"],
         "rows": tuple((bk.spec.params["c"], bk.spec.params["d"]) for bk in books[1:]),
     }
-    words, full = _row_product([bk.words for bk in books], n, q, max_words)
+    words, full = _row_product([bk.words for bk in books], q, max_words)
     return _book("c2b", n, q, 2, params, words, q**n, full=full)
 
 
@@ -456,7 +459,7 @@ def _sieve_ctb(n, q, t, delta, P, budget, seed, max_words, **_):
         rows += [words] * (nrows - 1)
         row_sums += [sums] * (nrows - 1)
     params = {"delta": delta, "P": P, "c0": c0, "c1": c1, "row_sums": tuple(row_sums)}
-    words, full = _row_product(rows, n, q, max_words)
+    words, full = _row_product(rows, q, max_words)
     return _book("ctb", n, q, t, params, words, q**n, sampled=sampled, full=full)
 
 
@@ -842,13 +845,13 @@ def _packing_bound(words: list, t: int) -> int:
     return size
 
 
-def max_code_exact(n: int, q: int, t: int, budget: int = 1 << 14) -> int:
+def max_code_exact(n: int, q: int, t: int) -> int:
     """Exact maximum size of a t-burst code in Sigma_q^n."""
-    words = list(_qary_space(n, q, budget))
+    words = list(_qary_space(n, q, EXACT_BUDGET))
     return _max_independent_set(_adjacency(words, t), _packing_bound(words, t))
 
 
-def max_perm_code_exact(n: int, t: int, budget: int = 1 << 14) -> int:
+def max_perm_code_exact(n: int, t: int) -> int:
     """Exact maximum size of a t-burst permutation code on S_n.
 
     Relabelling values (pi -> sigma o pi) maps every D_{<=t} ball onto
@@ -857,21 +860,19 @@ def max_perm_code_exact(n: int, t: int, budget: int = 1 << 14) -> int:
     bound, the exact search runs on the words that do not conflict with
     words[0].  The cell search finds perfect codes the colouring bound
     cannot close (S_6, t = 3), but is slow to refute, so it is asked once."""
-    words = list(_perm_space(n, budget))
+    words = list(_perm_space(n, EXACT_BUDGET))
     adj = _adjacency(words, t)
     upper = _packing_bound(words, t)
     full = (1 << len(words)) - 1
     best = _greedy_independent(adj, full)
     if best >= upper:
         return best
-    if exists_perm_code(n, t, upper, budget):
+    if exists_perm_code(n, t, upper):
         return upper
     return 1 + _max_independent_set(adj, upper - 1, cand=full & ~adj[0] & ~1)
 
 
-def exists_perm_code(
-    n: int, t: int, size: int, budget: int = 1 << 14, node_budget: int = NODE_BUDGET
-) -> bool:
+def exists_perm_code(n: int, t: int, size: int) -> bool:
     """Complete search deciding whether S_n contains ``size`` permutations
     whose D_{<=t} burst-deletion balls are pairwise disjoint.
 
@@ -888,11 +889,11 @@ def exists_perm_code(
     in lane c of one int, and the open cells are the lane top bits of
     another, so a branch builds new ints and backtracking costs nothing.
 
-    Raises RuntimeError when the search exceeds ``node_budget`` nodes.
+    Raises RuntimeError when the search exceeds NODE_BUDGET nodes.
     """
     if t < 1 or t >= n:
         raise ValueError("need 1 <= t < n")
-    space = _perm_space(n, budget)
+    space = _perm_space(n, EXACT_BUDGET)
     if size <= 1:
         return True
 
@@ -939,7 +940,7 @@ def exists_perm_code(
         nonlocal nodes
         while True:  # one node a pass; the last child of a node is the next pass
             nodes += 1
-            if nodes > node_budget:
+            if nodes > NODE_BUDGET:
                 raise RuntimeError("packing search exceeded node budget")
             if need <= 0:
                 return True

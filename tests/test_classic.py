@@ -168,6 +168,10 @@ class TestInduced:
         up = (1, 0, 6, 2, 3, 5)  # 4th and 5th symbols gone (aba -> a)
         assert (3, up) in [(pos, res) for pos, res in induced_deletions(u)]
         assert induced_decode(up, 3, 0, 6, 8, 8) == u
+        # residues out of range are no word's, though they agree mod 2n and q
+        for a, b, c in ((3 + 16, 0, 6), (3, 0 + 8, 6), (3, 0, 6 - 8)):
+            with pytest.raises(NotDecodableError, match="no unique codeword"):
+                induced_decode(up, a, b, c, 8, 8)
 
     def test_induced_deletion_positions(self):
         # aba patterns: u_i == u_{i+2} allows deleting positions i+1, i+2
@@ -243,6 +247,8 @@ CONTRACT_BOOKS = {
     "c2b-q6": ("c2b", 10, {"q": 6, "max_words": 4000}, 3000),
     "ctb-q4": ("ctb", 12, {"q": 4, "t": 2, "delta": 6, "P": 8}, 2000),
     "ctb-q6": ("ctb", 12, {"q": 6, "t": 1, "delta": 4, "P": 4}, 4000),
+    # t = 3: an exhaustive book, located through fills of up to 3 bits
+    "ctb-t3": ("ctb", 16, {"q": 4, "t": 3, "delta": 6, "P": 8}, 2000),
     "perm": ("perm", 8, {"t": 2, "delta": 8, "P": 6}, 1000),
     # t = 3: both edit oracles (k = 6 and 12 <= 4t) are identities
     "perm-t3": ("perm", 9, {"t": 3, "delta": 8, "P": 6}, 1000),

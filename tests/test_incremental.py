@@ -82,14 +82,17 @@ class TestLocateEquivalence:
     )
     def test_exhaustive(self, n, t, delta):
         dp = DensityParams(n, t, delta)
-        checks = (None, balanced) if n <= 10 else (None,)
+        # locate_burst takes the weight of a balanced word, the scan the predicate
+        checks = [(None, None)]
+        if n <= 10:
+            checks.append(((n + 1) // 2, balanced))
         for tprime in range(1, t + 1):
             for xp in itertools.product((0, 1), repeat=n - tprime):
                 for c0 in range(4):
                     for c1 in (1, n + 1):
-                        for check in checks:
+                        for ones, check in checks:
                             assert outcome(
-                                locate_burst, xp, c0, c1, dp, check
+                                locate_burst, xp, c0, c1, dp, ones
                             ) == outcome(ref_locate_burst, xp, c0, c1, dp, check)
 
     def test_member_residues_long_rows(self):
@@ -105,9 +108,9 @@ class TestLocateEquivalence:
                     found = (residues(y, dp) for y in reinsertions(xp, b.length))
                     dense = [r for r in found if r is not None]
                     c0, c1 = rng.choice(dense) if dense else (0, 0)
-                    for check in (None, balanced):
+                    for ones, check in ((None, None), ((n + 1) // 2, balanced)):
                         assert outcome(
-                            locate_burst, xp, c0, c1, dp, check
+                            locate_burst, xp, c0, c1, dp, ones
                         ) == outcome(ref_locate_burst, xp, c0, c1, dp, check)
 
     def test_errors_kept(self):

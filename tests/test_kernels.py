@@ -324,17 +324,18 @@ def _balanced(x):
 
 def test_locate_burst_matches_scan_exhaustively():
     # every received word at n = 8 against every residue pair, with and
-    # without a balance check
+    # without a balance check: locate_burst takes the weight (8 + 1) // 2
+    # of a balanced word, the scan the predicate
     for t, delta in ((1, 4), (2, 6)):
         dp = tburst.DensityParams(8, t, delta)
         for tprime in range(1, t + 1):
             for xp in product((0, 1), repeat=8 - tprime):
                 for c0, c1 in product(range(4), range(16)):
-                    for check in (None, _balanced):
-                        args = (xp, c0, c1, dp, check)
-                        assert _outcome(tburst.locate_burst, *args) == _outcome(
-                            ref_locate_burst, *args
-                        ), args
+                    for ones, check in ((None, None), (4, _balanced)):
+                        args = (xp, c0, c1, dp)
+                        assert _outcome(tburst.locate_burst, *args, ones) == _outcome(
+                            ref_locate_burst, *args, check
+                        ), (args, check)
     # from t = 3 on, two new occurrences can lie more than delta apart:
     # 00011 + 1?0 + 00111 has w at 1 and 8, a gap of 7 > 6, and no other
     # reinsertion passes residues (2, 18) and the gaps, so it is refused

@@ -30,6 +30,7 @@ from burstcodes.tburst import (
     ctb_oracles,
     loc_member,
 )
+from burstcodes import verify
 from burstcodes.cli import main
 from burstcodes.verify import (
     FAMILIES,
@@ -325,13 +326,14 @@ class TestExistsPermCode:
         # [TRIVIAL] size*(n-t+1) exceeds the number of burst-t descendants
         assert exists_perm_code(5, 2, 16) is False
 
-    def test_domain_and_budget(self):
+    def test_domain_and_budget(self, monkeypatch):
         with pytest.raises(ValueError):
             exists_perm_code(4, 0, 2)
         with pytest.raises(ValueError):
             exists_perm_code(9, 2, 5)
+        monkeypatch.setattr(verify, "NODE_BUDGET", 10)
         with pytest.raises(RuntimeError):
-            exists_perm_code(5, 2, 13, node_budget=10)
+            exists_perm_code(5, 2, 13)
 
 
 class TestCodebookJson:
