@@ -14,6 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 from operator import le
+from typing import Optional
 
 from .seqcore import (
     NotDecodableError,
@@ -90,7 +91,7 @@ def vt_decode(xp: tuple, a: int, n: int) -> tuple:
         pos = [0, *(i + 1 for i, s in enumerate(xp) if not s)][delta - w - 1]
         x = xp[:pos] + (1,) + xp[pos:]
     # never fails (0 of 106,496 (xp, a) at n <= 13): it guards the contract
-    if vt_syndrome(x) % (n + 1) != a or not any(burst_starts(x, xp, 1)):
+    if vt_syndrome(x) % (n + 1) != a or not burst_starts(x, xp, 1):
         raise NotDecodableError("no VT codeword consistent with input")
     return x
 
@@ -125,19 +126,28 @@ def _z_table(tp: int) -> tuple:
     return prefix, tuple(map(tuple, spans))
 
 
-def _reinsertions(yp: tuple, tp: int, delta: int, modulus: int) -> set:
+def _reinsertions(
+    yp: tuple, tp: int, delta: int, modulus: int, starts: Optional[range] = None
+) -> set:
     """Every y with VT(y) - VT(yp) = delta (mod modulus) such that a burst
-    of tp deletions turns psi_inv(y) into psi_inv(yp).
+    of tp deletions starting in `starts` (None: anywhere) turns psi_inv(y)
+    into psi_inv(yp).
 
     A burst at s >= 2 of x replaces y_{s-1} .. y_{s+tp-1} of y = psi(x) by
     their xor, and one at s = 1 drops y_1 .. y_tp.  Putting z back at
     1-based position j of yp, in place of yp_j, adds j (wt(z) - yp_j) +
     VT(z) - wt(z) + tp R to VT, where R counts the ones of yp after j.
     """
+    if starts is None:
+        starts = range(1, len(yp) + 2)
     prefix, spans = _z_table(tp)
-    r = sum(yp)
-    out = {z + yp for vt, z in prefix if (vt + tp * r - delta) % modulus == 0}
-    for j, b in enumerate(yp, 1):
+    # a burst at s >= 2 puts z back at j = s - 1
+    js = range(max(starts.start - 1, 1), starts.stop - 1)
+    r = sum(yp[js.start - 1 :])
+    out = set()
+    if 1 in starts:  # then js starts at 1, and r counts every one of yp
+        out = {z + yp for vt, z in prefix if (vt + tp * r - delta) % modulus == 0}
+    for j, b in zip(js, yp[js.start - 1 :]):
         r -= b
         rest = tp * r - delta
         for dw, vt, z in spans[b]:

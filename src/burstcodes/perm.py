@@ -8,7 +8,7 @@ from functools import lru_cache
 from itertools import permutations
 from math import factorial
 
-from .seqcore import Interval, NotDecodableError
+from .seqcore import Interval, NotDecodableError, _common_ends
 from .tburst import (
     SUMS_SHAPE,
     DensityParams,
@@ -109,10 +109,7 @@ def reconstruct(pip: tuple, missing: tuple, p: tuple, t: int) -> tuple:
         r = _ranks(pip, t)
         # p agrees with r on its first `head` windows and, shifted by
         # tprime, on its last `tail`
-        head = next((i for i, v in enumerate(r) if p[i] != v), len(r))
-        tail = next(
-            (i for i in range(len(r)) if p[-1 - i] != r[-1 - i]), len(r)
-        )
+        head, tail = _common_ends(r, p)
         for pos in range(
             max(1, len(pip) - t + 1 - tail), min(len(pip) + 1, head + t + 1) + 1
         ):

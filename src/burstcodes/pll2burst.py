@@ -1,5 +1,7 @@
-"""Period-2-limited encoding, burst localization from a decoded row, window-
-bounded two-deletion decoding, and the q-ary two-burst code built from them.
+"""Period-2-limited encoding, window-bounded two-deletion decoding, and the
+q-ary two-burst code built from them: row 1 of the bit matrix decodes on its
+own, its burst starts (seqcore.burst_starts) give the window, and the other
+rows reinsert their burst only inside that window.
 """
 from __future__ import annotations
 
@@ -8,7 +10,6 @@ from typing import Optional
 
 from .classic import _reinsertions, levenshtein_decode, levenshtein_residues
 from .seqcore import (
-    Interval,
     NotDecodableError,
     _bits_to_int,
     _int_to_bits,
@@ -90,18 +91,6 @@ def pll_decode(y: tuple, n: int) -> tuple:
     return x
 
 
-def locate_from_row1(x_decoded: tuple, x_received: tuple) -> Interval:
-    """Smallest interval containing every burst position consistent with the
-    (decoded, received) pair; length <= cap when x_decoded is period-limited."""
-    tlen = len(x_decoded) - len(x_received)
-    if tlen < 1:
-        raise ValueError("locate_from_row1 requires at least one deletion")
-    starts = list(burst_starts(x_decoded, x_received, tlen))
-    if not starts:
-        raise NotDecodableError("received word is not in the burst ball")
-    return Interval(min(starts), max(starts) + tlen - 1)
-
-
 @dataclass(frozen=True)
 class PBoundedParams:
     n: int
@@ -138,12 +127,12 @@ def pbounded_member(x: tuple, params: PBoundedParams) -> bool:
 
 
 def pbounded_decode(xp: tuple, params: PBoundedParams, m: int) -> tuple:
-    """Correct a burst of <= 2 deletions known to start in [m, m+P-1].
+    """Correct a burst of <= 2 deletions known to lie in [m, m+P-1].
 
-    Candidates are every reinsertion of the burst into psi(xp) whose VT
-    change matches the residue mod 2P (classic._reinsertions); the weight
-    residue mod 3 and the window consistency check then pin down the unique
-    codeword.
+    Candidates are every reinsertion of the burst into psi(xp), at a start
+    that keeps it inside the window, whose VT change matches the residue
+    mod 2P (classic._reinsertions); the weight residue mod 3 then pins down
+    the unique codeword.
     """
     check_binary(xp)
     n, P = params.n, params.P
@@ -156,19 +145,14 @@ def pbounded_decode(xp: tuple, params: PBoundedParams, m: int) -> tuple:
         return xp
     yp = psi(xp)
     delta = (params.c - vt_syndrome(yp)) % (2 * P)
-    found = set()
-    for y in _reinsertions(yp, t, delta, 2 * P):
-        if sum(y) % 3 != params.d:
-            continue
-        x = psi_inv(y)
-        # the burst must lie inside [m, m+P-1], not only start there: with
-        # only the start constrained, two codewords can share a descendant
-        # via bursts starting P-1 positions apart
-        if any(burst_starts(x, xp, 2, m, m + P - 1)):
-            found.add(x)
+    # the burst must lie inside the window, not only start there: with only
+    # the start constrained, two codewords can share a descendant via
+    # bursts starting P-1 positions apart
+    ys = _reinsertions(yp, t, delta, 2 * P, range(m, m + P - t + 1))
+    found = {y for y in ys if sum(y) % 3 == params.d}
     if len(found) != 1:
         raise NotDecodableError("no unique window-consistent codeword")
-    return found.pop()
+    return psi_inv(found.pop())
 
 
 @dataclass(frozen=True)
@@ -226,8 +210,9 @@ def c2b_decode(up: tuple, params: C2BParams) -> tuple:
     if longest_period2(row1) > params.cap:
         raise NotDecodableError("row 1 decodes outside the period limit")
     # two starts s < s' of the burst leave row1[s .. s' + t - 1] t-periodic,
-    # so the interval is a period-2 run of row 1: at most cap long
-    m = locate_from_row1(row1, rows_rx[0]).lo
+    # so the starts span a period-2 run of row 1: at most cap long.  Row 1
+    # is a burst parent of the received row by construction
+    m = burst_starts(row1, rows_rx[0], t)[0]
     rows = [row1]
     for i in range(1, len(rows_rx)):
         rows.append(pbounded_decode(rows_rx[i], params.row_params(i - 1), m))
@@ -235,6 +220,6 @@ def c2b_decode(up: tuple, params: C2BParams) -> tuple:
         u = from_matrix(tuple(rows), params.q)
     except ValueError as exc:  # a column decodes to a symbol >= q
         raise NotDecodableError(str(exc)) from None
-    if not any(burst_starts(u, up, 2)):
+    if not burst_starts(u, up, 2):
         raise NotDecodableError("reassembled word is not burst-consistent")
     return u

@@ -6,9 +6,9 @@ are tuples of 0/1.  All positions in public APIs are 1-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate, compress, count, repeat
 from operator import lshift, lt, mul, ne, xor
-from typing import Iterable, Iterator, Optional, Sequence as Seq
+from typing import Iterable, Optional, Sequence as Seq
 
 MAX_Q = 1 << 16
 BALL_MAX_N = 32
@@ -76,19 +76,25 @@ def bursts(n: int, t: int, upto: bool = False) -> Iterable[Burst]:
             yield Burst(start, length)
 
 
-def burst_starts(
-    x: tuple, xp: tuple, t: int, lo: int = 1, hi: Optional[int] = None
-) -> Iterator[int]:
-    """Lazily yield every 1-based start of a burst of d = |x| - |xp|
-    deletions, 1 <= d <= t, lying inside positions [lo, hi] (default: all
-    of x), that turns x into xp.  Yields nothing when d is out of range."""
-    d = len(x) - len(xp)
-    if not 1 <= d <= t:
-        return
-    last = len(x) if hi is None else min(hi, len(x))
-    for s in range(max(1, lo), last - d + 2):
-        if x[: s - 1] + x[s - 1 + d :] == xp:
-            yield s
+def _common_ends(a: Seq, b: Seq) -> tuple:
+    """Lengths of the longest common prefix and suffix of a and b."""
+    m = min(len(a), len(b))
+    return (
+        next(compress(count(), map(ne, a, b)), m),
+        next(compress(count(), map(ne, reversed(a), reversed(b))), m),
+    )
+
+
+def burst_starts(x: tuple, xp: tuple, t: int) -> range:
+    """Every 1-based start of a burst of d = |x| - |xp| deletions,
+    1 <= d <= t, that turns x into xp; empty when d is out of range.
+
+    A burst at s does so iff x and xp agree on their first s - 1 symbols
+    and on their last |xp| - s + 1."""
+    if not 1 <= len(x) - len(xp) <= t:
+        return range(0)
+    head, tail = _common_ends(x, xp)
+    return range(len(xp) - tail + 1, head + 2)
 
 
 def deletion_ball(u: tuple, t: int, upto: bool = False) -> set:

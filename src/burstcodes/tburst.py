@@ -959,6 +959,6 @@ def ctb_decode(up: tuple, params: CtbParams, labeler: BlockLabeler) -> tuple:
         u = from_matrix(tuple(rows), params.q)
     except ValueError as exc:  # a column decodes to a symbol >= q
         raise NotDecodableError(str(exc)) from None
-    if not any(burst_starts(u, up, params.t)):
+    if not burst_starts(u, up, params.t):
         raise NotDecodableError("reassembled word is not burst-consistent")
     return u

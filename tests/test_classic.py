@@ -133,27 +133,44 @@ class TestLevenshtein:
 
 
 def _burst_parents(yp, tp):
-    """(VT(y) - VT(yp), y) for every y of length |yp| + tp such that a burst
-    of tp deletions turns psi_inv(y) into psi_inv(yp)."""
+    """(VT(y) - VT(yp), y, starts) for every y of length |yp| + tp such that
+    a burst of tp deletions turns psi_inv(y) into psi_inv(yp), with the set
+    of 1-based starts of those bursts."""
     xp = psi_inv(yp)
-    return [
-        (vt_syndrome(y) - vt_syndrome(yp), y)
-        for y in product((0, 1), repeat=len(yp) + tp)
-        if any(burst_starts(psi_inv(y), xp, tp))
-    ]
+    out = []
+    for y in product((0, 1), repeat=len(yp) + tp):
+        x = psi_inv(y)
+        starts = {s for s in range(1, len(xp) + 2) if x[: s - 1] + x[s - 1 + tp :] == xp}
+        if starts:
+            out.append((vt_syndrome(y) - vt_syndrome(yp), y, starts))
+    return out
 
 
 @pytest.mark.parametrize("tp", [1, 2])
 def test_reinsertions_match_burst_parents(tp):
     # the generator against its definition, on every yp of length <= 7, with
-    # the moduli of levenshtein and induced (2n) and of pbounded (2P)
+    # the moduli of levenshtein and induced (2n) and of pbounded (2P); and
+    # on every window of starts range(lo, hi), -1 <= lo <= hi <= |yp| + 3
+    # (empty ones included), for yp of length <= 5
     for length in range(8):
         for yp in product((0, 1), repeat=length):
             parents = _burst_parents(yp, tp)
             for modulus in (2 * (length + tp), 4, 6):
                 for delta in range(modulus):
-                    expected = {y for d, y in parents if d % modulus == delta}
+                    expected = {y for d, y, _ in parents if d % modulus == delta}
                     assert classic._reinsertions(yp, tp, delta, modulus) == expected
+            if length > 5:
+                continue
+            for lo in range(-1, length + 4):
+                for hi in range(lo, length + 4):
+                    window = range(lo, hi)
+                    for delta in range(4):
+                        expected = {
+                            y for d, y, starts in parents
+                            if d % 4 == delta and starts.intersection(window)
+                        }
+                        got = classic._reinsertions(yp, tp, delta, 4, window)
+                        assert got == expected, (yp, window, delta)
 
 
 class TestInduced:
@@ -374,7 +391,7 @@ def _contract_case(rng, family, n):
     params = PBoundedParams(n, P, c, d)
     return (lambda: pbounded_decode(rx, params, m)), lambda x: (
         pbounded_residues(x, P) == (c, d)
-        and any(burst_starts(x, rx, 2, m, m + P - 1))
+        and any(m <= s <= m + P - n + len(rx) for s in burst_starts(x, rx, 2))
     )
 
 
@@ -496,3 +513,37 @@ def test_psi_decode_outcomes_pinned():
     assert sum(isinstance(o, str) for o in outs) < len(outs)
     digest = hashlib.sha256(repr(outs).encode()).hexdigest()
     assert digest == PSI_DECODE_DIGEST
+
+
+def _pbounded_edge_outcomes():
+    """Outcome of pbounded_decode on every input of length n - 1, n - 2 at
+    n = 4..8 with P in {1, 2, 3}, every (c, d), and windows at and past
+    both ends, m in {-1, 0, 1, 2, n - 1, n, n + 1}: at P = 1 a burst of 2
+    fits no window, and windows past the ends hold few starts or none."""
+    outs = []
+    for n in range(4, 9):
+        for P, tp in product((1, 2, 3), (1, 2)):
+            for xp in product((0, 1), repeat=n - tp):
+                for c, d in product(range(2 * P), range(3)):
+                    params = PBoundedParams(n, P, c, d)
+                    for m in (-1, 0, 1, 2, n - 1, n, n + 1):
+                        try:
+                            outs.append(pbounded_decode(xp, params, m))
+                        except NotDecodableError as exc:
+                            outs.append(str(exc))
+    return outs
+
+
+PBOUNDED_EDGE_DIGEST = (
+    "575b4fbdca99b1c4e7f4003a0c4d18b11607967997afa1536978e11da1efad5a"
+)
+
+
+def test_pbounded_edge_windows_pinned():
+    # the digest was recorded from the decoder that reinserted over all of
+    # psi(xp) and kept the candidates with a burst inside the window
+    outs = _pbounded_edge_outcomes()
+    assert len(outs) == 93744
+    assert sum(not isinstance(o, str) for o in outs) == 13640
+    digest = hashlib.sha256(repr(outs).encode()).hexdigest()
+    assert digest == PBOUNDED_EDGE_DIGEST

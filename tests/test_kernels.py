@@ -138,6 +138,17 @@ def ref_overlap_ranks(pi, t):
     return tuple(perm.lex_rank(perm.prj(pi[i : i + t + 1])) for i in range(len(pi) - t))
 
 
+def ref_burst_starts(x, xp, t):
+    """The scan burst_starts replaced: x less a burst at every start,
+    compared with xp."""
+    d = len(x) - len(xp)
+    if not 1 <= d <= t:
+        return
+    for s in range(1, len(x) - d + 2):
+        if x[: s - 1] + x[s - 1 + d :] == xp:
+            yield s
+
+
 def ref_locate_burst(xp, c0, c1, dp, extra_check=None):
     """The scan locate_burst replaced: every fill at every start builds its
     segment and searches it for w."""
@@ -316,6 +327,44 @@ def test_window_ranks_match_reference():
         for t in (1, 2, 3):
             assert perm.overlap_ranks(pi, t) == ref_overlap_ranks(pi, t)
     assert perm.overlap_ranks([3, 1, 2, 4], 2) == ref_overlap_ranks((3, 1, 2, 4), 2)
+
+
+def test_burst_starts_matches_scan_exhaustively():
+    # every pair (x, xp), non-descendants included, with |x| <= 8 over q = 2
+    # and |x| <= 5 over q = 3, |x| - |xp| in 0..4 and t in 1..3
+    for q, top in ((2, 8), (3, 5)):
+        for n in range(top + 1):
+            for d in range(min(n, 4) + 1):
+                for x, xp in product(
+                    product(range(q), repeat=n), product(range(q), repeat=n - d)
+                ):
+                    want = list(ref_burst_starts(x, xp, 3))
+                    for t in (1, 2, 3):
+                        got = list(seqcore.burst_starts(x, xp, t))
+                        assert got == (want if d <= t else []), (x, xp, t)
+
+
+@pytest.mark.parametrize("n", [16, 64, 256, 1024])
+def test_burst_starts_matches_scan_seeded(n):
+    # words of long runs (many starts) and uniform words, less a burst or
+    # with one symbol of the shortened word then redrawn
+    rng = random.Random(f"starts/{n}")
+    for _ in range(40 if n < 1024 else 8):
+        q = rng.choice((2, 4))
+        x = []
+        while len(x) < n:
+            x += [rng.randrange(q)] * rng.choice((1, 1, 5, 40))
+        x = tuple(x[:n])
+        d = rng.randint(1, 3)
+        s = rng.randint(1, n - d + 1)
+        xp = list(x[: s - 1] + x[s - 1 + d :])
+        if rng.random() < 0.3:
+            xp[rng.randrange(len(xp))] = rng.randrange(q)
+        xp = tuple(xp)
+        for t in (1, 2, 3):
+            assert list(seqcore.burst_starts(x, xp, t)) == list(
+                ref_burst_starts(x, xp, t)
+            ), (x, xp, t)
 
 
 def _balanced(x):

@@ -6,14 +6,15 @@ import random
 
 import pytest
 
+from burstcodes.classic import levenshtein_residues
 from burstcodes.pll2burst import (
     C2BParams,
     PBoundedParams,
     c2b_decode,
     c2b_member,
-    locate_from_row1,
     pbounded_decode,
     pbounded_member,
+    pbounded_residues,
     pll_cap,
     pll_decode,
     pll_encode,
@@ -22,7 +23,9 @@ from burstcodes.seqcore import (
     Burst,
     NotDecodableError,
     apply_burst,
+    burst_starts,
     bursts,
+    from_matrix,
     longest_period2,
 )
 from burstcodes import verify
@@ -211,19 +214,16 @@ class TestLocate:
         # [DERIVED] 1100110011 minus positions 3-4 leaves 11110011 only one way
         x = bits("1100110011")
         rx = apply_burst(x, Burst(3, 2))
-        iv = locate_from_row1(x, rx)
-        assert iv.lo <= 3 and 4 <= iv.hi
+        assert list(burst_starts(x, rx, 2)) == [3]
 
     def test_interval_covers_all_consistent_starts(self):
-        # property: for every word and burst the true positions are covered
+        # property: for every word and burst the true start is found
         for x in itertools.product((0, 1), repeat=8):
             for b in bursts(8, 2):
-                iv = locate_from_row1(x, apply_burst(x, b))
-                assert iv.lo <= b.start and b.start + b.length - 1 <= iv.hi
+                assert b.start in burst_starts(x, apply_burst(x, b), 2)
 
     def test_rejects_non_descendant(self):
-        with pytest.raises(NotDecodableError):
-            locate_from_row1(bits("0000"), bits("111"))
+        assert not burst_starts(bits("0000"), bits("111"), 1)
 
 
 class TestPBounded:
@@ -302,6 +302,25 @@ class TestC2B:
         params = self.make_params(book)
         u = book.words[0]
         assert c2b_decode(u, params) == u
+
+    def test_long_word_roundtrip(self):
+        # seeded codewords at n = 1,024, q = 4: row 1 drawn until its period-2
+        # runs fit the cap, the code's residues read off the word itself
+        rng = random.Random("c2b/1024")
+        n = 1024
+        for _ in range(4):
+            row1 = ()
+            while not row1 or longest_period2(row1) > pll_cap(n):
+                row1 = tuple(rng.randint(0, 1) for _ in range(n))
+            row2 = tuple(rng.randint(0, 1) for _ in range(n))
+            (a,) = levenshtein_residues(row1, n)
+            params = C2BParams(n, 4, a, (pbounded_residues(row2, pll_cap(n)),))
+            u = from_matrix((row1, row2), 4)
+            assert c2b_member(u, params)
+            for _ in range(50):
+                d = rng.randint(1, 2)
+                rx = apply_burst(u, Burst(rng.randint(1, n - d + 1), d))
+                assert c2b_decode(rx, params) == u
 
     def test_odd_alphabet_rejected(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,18 @@
-"""Input refusals: each decoder and parser raises ValueError, with its own
-message, on an input outside its contract, before it decodes anything."""
+"""Input refusals: each decoder, parser, parameter record and helper raises
+ValueError, with its own message, on an input outside its contract, before
+it decodes or computes anything."""
 import json
 
 import pytest
 
 from burstcodes.classic import induced_decode, tenengolts_decode
-from burstcodes.perm import PermCodeParams, pleqt_decode
+from burstcodes.perm import (
+    PermCodeParams,
+    lex_rank,
+    overlap_ranks,
+    pleqt_decode,
+    reconstruct,
+)
 from burstcodes.pll2burst import (
     C2BParams,
     PBoundedParams,
@@ -13,6 +20,7 @@ from burstcodes.pll2burst import (
     pbounded_decode,
     pll_decode,
 )
+from burstcodes.seqcore import burst_ball_size, ceil_log2, deletion_ball
 from burstcodes.tburst import (
     SUMS_SHAPE,
     CtbParams,
@@ -23,7 +31,7 @@ from burstcodes.tburst import (
     decompress_g,
     dense_decode,
 )
-from burstcodes.verify import SCHEMA_VERSION, Codebook
+from burstcodes.verify import SCHEMA_VERSION, Codebook, redundancy_table
 
 DP = DensityParams(128, 1, 64)
 SPEC = {"family": "vt", "n": 4, "q": 2, "t": 1}
@@ -68,6 +76,29 @@ REFUSALS = {
     "decompress-length": (
         lambda: decompress_g((0,) * (DP.out_len + 1), DP),
         "expects out_len bits",
+    ),
+    "compress-capacity": (
+        lambda: compress_g((0,) * 8, DensityParams(16, 1, 8)),
+        "compressed length would be non-positive",
+    ),
+    "deletion-ball-n": (lambda: deletion_ball((0,) * 33, 1), "refuses n > 32"),
+    "ceil-log2": (lambda: ceil_log2(0), "n must be >= 1"),
+    "ball-size-t": (
+        lambda: burst_ball_size((0, 1, 0), 2),
+        "formula requires t >= 1 and t \\| n",
+    ),
+    "c2b-odd-q": (lambda: C2BParams(12, 3, 0, ()), "require q even"),
+    "c2b-a": (lambda: C2BParams(12, 4, 24, ((0, 0),)), "require a in \\[0, 2n\\)"),
+    "ranks-n": (lambda: overlap_ranks((1, 2), 2), "need n > t"),
+    "ranks-distinct": (
+        lambda: overlap_ranks((1, 2, 2), 1),
+        "overlap_ranks requires distinct entries",
+    ),
+    "reconstruct-n": (lambda: reconstruct((1,), (2,), (), 2), "need n > t"),
+    "lex-rank": (lambda: lex_rank((1, 1)), "not a permutation of \\[n\\]"),
+    "table-q": (
+        lambda: redundancy_table(["vt"], [8], q=1),
+        "table requires q >= 2 and every n >= 1",
     ),
     "ball-t": (lambda: _ball(4, 5, "burst"), "require 1 <= t <= k"),
     "ball-model": (lambda: _ball(4, 1, "substitution"), "unknown error model"),

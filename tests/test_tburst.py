@@ -646,6 +646,19 @@ def _either(decode, *args):
         return type(exc).__name__, str(exc)
 
 
+def _dense_row(rng, dp):
+    """Copies of w, each followed by at most delta - 2t random bits, cut to
+    length n; drawn again until dense."""
+    row = ()
+    while len(row) != dp.n or not is_dense(row, dp):
+        row = ()
+        while len(row) < dp.n:
+            fill = rng.randint(0, dp.delta - 2 * dp.t)
+            row += dp.w + tuple(rng.randint(0, 1) for _ in range(fill))
+        row = row[: dp.n]
+    return row
+
+
 def _cpb_cases(rng, labeler, n, P, count):
     """Seeded cpb_decode arguments for n-symbol words over the labeler's
     alphabet: a word less a burst or a substring edit of at most t symbols
@@ -731,14 +744,7 @@ class TestDecodePlan:
         decoded = 0
         dp = DensityParams(32, 2, 7)
         for _ in range(60):
-            # copies of w, each followed by at most delta - 2t bits
-            row1 = ()
-            while len(row1) != 32 or loc_residues(row1, dp) is None:
-                row1 = ()
-                while len(row1) < 32:
-                    row1 += dp.w + tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 3)))
-                row1 = row1[:32]
-            rows = (row1,) + tuple(
+            rows = (_dense_row(rng, dp),) + tuple(
                 tuple(rng.randint(0, 1) for _ in range(32)) for _ in range(3)
             )
             u = from_matrix(rows, 16)
@@ -842,10 +848,11 @@ def _edit_labeler():
     return perm_labeler(PermCodeParams(8, 2, 8, 6, 0, 0, ((0, 0), (0, 0))))
 
 
-def _ctb_codeword(rng, labeler, n, q, t, delta, P):
-    """A q-ary word with a dense row 1 and the CtbParams of its residues."""
+def _ctb_codeword(rng, labeler, n, q, t, delta, P, row1=None):
+    """A q-ary word with a dense row 1 (the given one, or uniform words
+    drawn until one is dense) and the CtbParams of its residues."""
     dp = DensityParams(n, t, delta)
-    row1 = tuple(rng.randint(0, 1) for _ in range(n))
+    row1 = row1 or tuple(rng.randint(0, 1) for _ in range(n))
     while not is_dense(row1, dp):
         row1 = tuple(rng.randint(0, 1) for _ in range(n))
     rows = (row1,) + tuple(
@@ -1041,6 +1048,19 @@ class TestCtbPipeline:
         )
         with pytest.raises(NotDecodableError, match="not a codeword"):
             ctb_decode(u, params, labeler)
+
+    def test_long_word_roundtrip(self):
+        # seeded codewords at n = 512 (q = 16, t = 2, delta = 7, P = 8), each
+        # with every sampled burst of at most t deletions
+        rng = random.Random("ctb/512")
+        n, dp = 512, DensityParams(512, 2, 7)
+        labeler = BlockLabeler({k: oracle_build_brute(k, 2, "burst") for k in (8, 16)})
+        for _ in range(4):
+            u, params = _ctb_codeword(rng, labeler, n, 16, 2, 7, 8, _dense_row(rng, dp))
+            for _ in range(50):
+                d = rng.randint(1, 2)
+                rx = apply_burst(u, Burst(rng.randint(1, n - d + 1), d))
+                assert ctb_decode(rx, params, labeler) == u
 
     def test_window_constraint_enforced(self):
         row_sums = (((0, 0), (0, 0)),) * 2  # well formed for q = 4
