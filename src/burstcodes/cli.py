@@ -66,7 +66,10 @@ def cmd_decode(args) -> int:
     needs_window = verify.get_family(family).needs_window
     lo = 1
     if args.window:
-        lo, hi = (int(p) for p in args.window.split(":"))
+        try:
+            lo, hi = map(int, args.window.split(":"))
+        except ValueError:  # not two parts, or one not an integer
+            raise ValueError("--window requires LO:HI") from None
         if not 1 <= lo <= hi:
             raise ValueError("--window requires 1 <= LO <= HI")
         # the decoder searches [LO, LO+P-1]: a longer window would let a

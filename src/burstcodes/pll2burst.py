@@ -14,10 +14,10 @@ from .seqcore import (
     _bits_to_int,
     _int_to_bits,
     _period2_diffs,
+    _reassemble,
     burst_starts,
     ceil_log2,
     check_binary,
-    from_matrix,
     longest_period2,
     matrix_rows,
     psi,
@@ -216,10 +216,4 @@ def c2b_decode(up: tuple, params: C2BParams) -> tuple:
     rows = [row1]
     for i in range(1, len(rows_rx)):
         rows.append(pbounded_decode(rows_rx[i], params.row_params(i - 1), m))
-    try:
-        u = from_matrix(tuple(rows), params.q)
-    except ValueError as exc:  # a column decodes to a symbol >= q
-        raise NotDecodableError(str(exc)) from None
-    if not burst_starts(u, up, 2):
-        raise NotDecodableError("reassembled word is not burst-consistent")
-    return u
+    return _reassemble(rows, params.q, up, 2)

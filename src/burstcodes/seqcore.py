@@ -6,8 +6,10 @@ are tuples of 0/1.  All positions in public APIs are 1-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, compress, count, repeat
-from operator import lshift, lt, mul, ne, xor
+from functools import lru_cache
+from itertools import accumulate, compress, count
+from operator import lt, mul, ne, xor
+from struct import Struct
 from typing import Iterable, Optional, Sequence as Seq
 
 MAX_Q = 1 << 16
@@ -176,24 +178,73 @@ def matrix_rows(q: int) -> int:
     return max(1, (q - 1).bit_length())
 
 
+# The bit matrix as byte planes: a word packs into big-endian lanes of
+# ceil(rows / 8) bytes, one per symbol, so that plane p (byte p of every lane
+# from the low end) holds rows 8p .. 8p + 7, and row r reads bit r & 7 of its
+# plane through a 256-entry table, as a 0/1 byte or as a b"01" digit.
+_ROW_VALUES = [bytes(s >> (r & 7) & 1 for s in range(256)) for r in range(matrix_rows(MAX_Q))]
+_ROW_DIGITS = [row.translate(bytes.maketrans(b"\0\1", b"01")) for row in _ROW_VALUES]
+
+
+@lru_cache(maxsize=1 << 10)
+def _lanes(n: int, q: int) -> tuple:
+    """The lane width of a q-ary word's matrix, the struct of n lanes, and
+    the slice of each row's plane in them; a code meets a few (n, q)."""
+    nrows = matrix_rows(q)
+    width = (nrows + 7) >> 3
+    reads = [slice(width - 1 - (r >> 3), None, width) for r in range(nrows)]
+    return width, Struct(f">{n}{' BH'[width]}"), reads
+
+
+def _planes(u: Seq[int], q: int, tables: list) -> Iterable[bytes]:
+    """Row r of u's bit matrix, one byte per symbol: tables[r] of its plane."""
+    check_symbols(u, q)
+    _, lanes, reads = _lanes(len(u), q)
+    return map(bytes.translate, map(lanes.pack(*u).__getitem__, reads), tables)
+
+
+def _join_planes(rows: Seq, n: int) -> tuple:
+    """The n-symbol word whose bit-matrix row r is rows[r], n bits: each row
+    fills the low byte of every lane, and the lanes add up as one int."""
+    width, lanes, _ = _lanes(n, 1 << len(rows))
+    buf, total = bytearray(n * width), 0
+    for r, row in enumerate(rows):
+        buf[width - 1 :: width] = row
+        total += int.from_bytes(buf, "big") << r
+    return lanes.unpack(total.to_bytes(n * width, "big"))
+
+
 def to_matrix(u: tuple, q: int) -> tuple:
     """Rows of the bit matrix A(u): row 1 is the LSB of every symbol."""
-    check_symbols(u, q)
-    return tuple([tuple([s >> r & 1 for s in u]) for r in range(matrix_rows(q))])
+    return tuple(map(tuple, _planes(u, q, _ROW_VALUES)))
 
 
 def from_matrix(rows: Seq[tuple], q: int) -> tuple:
-    """Inverse of to_matrix; errors if a column decodes to a value >= q."""
+    """Inverse of to_matrix on rows of bits; errors if a column decodes to
+    a value >= q."""
     if not rows:
         raise ValueError("empty matrix")
+    if len(rows) > len(_ROW_VALUES):
+        raise ValueError(f"more than {len(_ROW_VALUES)} rows")
     n = len(rows[0])
     if any(len(r) != n for r in rows):
         raise ValueError("ragged matrix")
-    shifted = [map(lshift, row, repeat(r)) for r, row in enumerate(rows)]
-    u = tuple(map(sum, zip(*shifted)))
+    u = _join_planes(rows, n)
     if u and max(u) >= q:
         j, val = next((j, val) for j, val in enumerate(u) if val >= q)
         raise ValueError(f"column {j + 1} decodes to {val} >= q={q}")
+    return u
+
+
+def _reassemble(rows: list, q: int, up: tuple, t: int) -> tuple:
+    """A decoder's last step: the word of its rows, refused unless a burst
+    of at most t deletions turns it into the received word up."""
+    try:
+        u = from_matrix(rows, q)
+    except ValueError as exc:  # a column decodes to a symbol >= q
+        raise NotDecodableError(str(exc)) from None
+    if not burst_starts(u, up, t):
+        raise NotDecodableError("reassembled word is not burst-consistent")
     return u
 
 

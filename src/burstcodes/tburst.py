@@ -17,15 +17,16 @@ from operator import itemgetter, or_, sub
 from typing import Callable, Optional
 
 from .seqcore import (
+    _ROW_DIGITS,
     Interval,
     NotDecodableError,
     _bits_to_int,
     _int_to_bits,
-    burst_starts,
+    _join_planes,
+    _planes,
+    _reassemble,
     ceil_log2,
     check_binary,
-    check_symbols,
-    from_matrix,
     matrix_rows,
     to_matrix,
 )
@@ -630,26 +631,15 @@ class QaryBlockLabeler:
         self.modulus = max(o.label_space**self.nrows for o in oracles.values())
         self.alphabet = alphabet
         self.allowed = frozenset(alphabet)
-        # row r: byte r >> 3 of each symbol, and a table that sends it to its bit
-        self.row_bits = [
-            (r >> 3, bytes(b"01"[s >> (r & 7) & 1] for s in range(256))) for r in range(self.nrows)
-        ]
 
     def rows(self, u: tuple) -> tuple:
         """The rows of u's bit matrix, each as an int whose most significant
         bit is that of u's first symbol."""
-        check_symbols(u, 1 << self.nrows)
-        # plane p: byte p of every symbol, which holds rows 8p .. 8p + 7
-        wide = range((self.nrows + 7) >> 3) if self.nrows > 8 else ()
-        planes = [bytes(s >> 8 * p & 255 for s in u) for p in wide] or [bytes(u)]
-        return tuple([int(planes[p].translate(bits) or b"0", 2) for p, bits in self.row_bits])
+        return tuple([int(row or b"0", 2) for row in _planes(u, 1 << self.nrows, _ROW_DIGITS)])
 
     def word(self, rows: tuple, k: int) -> tuple:
         """Inverse of `rows` for a word of k symbols."""
-        u = _int_to_bits(rows[0], k)
-        for r in range(1, len(rows)):
-            u = tuple(s | (b << r) for s, b in zip(u, _int_to_bits(rows[r], k)))
-        return u
+        return _join_planes([_int_to_bits(r, k) for r in rows], k)
 
     def label(self, rows: tuple, shift: int, k: int) -> int:
         """Label of the k-symbol block whose last symbol sits `shift` bits
@@ -955,10 +945,4 @@ def ctb_decode(up: tuple, params: CtbParams, labeler: BlockLabeler) -> tuple:
         cpb_decode(row, n, window, sums, labeler, params.P)
         for row, sums in zip(rows_rx, params.row_sums)
     ]
-    try:
-        u = from_matrix(tuple(rows), params.q)
-    except ValueError as exc:  # a column decodes to a symbol >= q
-        raise NotDecodableError(str(exc)) from None
-    if not burst_starts(u, up, params.t):
-        raise NotDecodableError("reassembled word is not burst-consistent")
-    return u
+    return _reassemble(rows, params.q, up, params.t)

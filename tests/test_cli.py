@@ -220,6 +220,22 @@ class TestSieveVerifyDecode:
         assert code == 0
         assert out.strip() == sent
 
+    def test_malformed_window_is_usage_error(self, tmp_path, capsys):
+        # each used to exit 2 with Python's own unpacking or int() message
+        book = tmp_path / "book.json"
+        code, _, _ = run(
+            capsys, "sieve", "--family", "pbounded", "--n", "10",
+            "--P", "4", "--out", str(book),
+        )
+        assert code == 0
+        for window in ("3", "3:4:5", "a:b", "3:", ":4", "1.5:3"):
+            code, out, err = run(
+                capsys, "decode", "--book", str(book), "--received",
+                "000000000", "--window", window,
+            )
+            assert code == USAGE_ERROR, window
+            assert err == "error: --window requires LO:HI\n" and not out, window
+
     @pytest.mark.parametrize(
         "family, option", [
             ("pbounded", "P"), ("loc", "delta"), ("ctb", "delta"),

@@ -284,6 +284,19 @@ def test_matrix_conversions_match_reference():
         assert _outcome(seqcore.from_matrix, m, 4) == _outcome(ref_from_matrix, m, 4)
     with pytest.raises(ValueError, match=r"^column 2 decodes to 5 >= q=5$"):
         seqcore.from_matrix(((0, 1, 1), (1, 0, 1), (0, 1, 1)), 5)
+    # seeded words past QARY's q = 16: 8 rows (q = 256, one byte a symbol),
+    # 9 rows (q = 257, two bytes) and 16 rows (q = 2^16); a symbol q is
+    # refused, and from_matrix is also asked at smaller q, so that wide
+    # columns decode to q or more
+    for q, n in product((256, 257, 1 << 16), (0, 1, 2, 12, 40, 333)):
+        rng = random.Random(q * n)
+        u = tuple(rng.randrange(q) for _ in range(n))
+        for x in (u, list(u), u + (q,)):
+            assert _outcome(seqcore.to_matrix, x, q) == _outcome(ref_to_matrix, x, q), (x, q)
+        m = ref_to_matrix(u, q)
+        for x in (m, [list(r) for r in m], m[:-1], m[:1]):
+            for p in (q, q - 1, q // 2 + 1):
+                assert _outcome(seqcore.from_matrix, x, p) == _outcome(ref_from_matrix, x, p), (x, p)
 
 
 def test_bit_conversions_match_reference():

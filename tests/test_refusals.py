@@ -20,7 +20,7 @@ from burstcodes.pll2burst import (
     pbounded_decode,
     pll_decode,
 )
-from burstcodes.seqcore import burst_ball_size, ceil_log2, deletion_ball
+from burstcodes.seqcore import burst_ball_size, ceil_log2, deletion_ball, from_matrix
 from burstcodes.tburst import (
     SUMS_SHAPE,
     CtbParams,
@@ -83,6 +83,8 @@ REFUSALS = {
     ),
     "deletion-ball-n": (lambda: deletion_ball((0,) * 33, 1), "refuses n > 32"),
     "ceil-log2": (lambda: ceil_log2(0), "n must be >= 1"),
+    # no word of q <= 2^16 symbols has more rows; its lanes hold 16 bits
+    "matrix-rows": (lambda: from_matrix(((0,),) * 17, 2), "^more than 16 rows$"),
     "ball-size-t": (
         lambda: burst_ball_size((0, 1, 0), 2),
         "formula requires t >= 1 and t \\| n",
