@@ -2,12 +2,14 @@
 code, and the induced-deletion code over alternating q-ary sequences.
 
 Decoders raise NotDecodableError instead of ever returning a wrong answer.
-The psi-domain decoders (here levenshtein and induced, in pll2burst the
-window-bounded one) recover y = psi(x) from psi of the received word with
-one generator, _reinsertions, that puts back every burst of t' deletions
-whose VT change matches the residue: each y it yields has the residue and
-the burst by construction.  vt_decode validates its reconstruction against
-the residue and the burst channel before returning it.
+Two psi-domain decoders (levenshtein here, the window-bounded one in
+pll2burst) recover y = psi(x) from psi of the received word with one
+generator, _reinsertions, that puts back every burst of t' deletions whose
+VT change matches the residue: each y it yields has the residue and the
+burst by construction.  induced_decode builds the one word an induced
+deletion at each position can have left and keeps those with the VT
+residue.  vt_decode validates its reconstruction against the residue and
+the burst channel before returning it.
 """
 from __future__ import annotations
 
@@ -187,47 +189,35 @@ def induced_deletions(u: tuple) -> list:
 def induced_decode(up: tuple, a: int, b: int, c: int, n: int, q: int) -> tuple:
     """Recover the alternating codeword after one induced deletion aba -> a.
 
-    Four-step procedure: repair psi of the interleaved ascent image (every
-    two-deletion reinsertion with its VT residue), split into the odd/even
-    ascent images, recover the two deleted values from the sum residues,
-    then reinsert them Tenengol'ts-style in each half.
+    A deletion after position i of u (0-based) leaves up = u[:i+1] +
+    u[i+3:], so u = up[:i+1] + (v, up[i]) + up[i+1:]: the sum residue of
+    the half holding position i + 1 fixes v, the other half's residue must
+    already hold with up[i] added, and the VT residue of interleaved_psi(u)
+    picks the position.
     """
     check_symbols(up, q)
     if len(up) != n - 2:
         raise ValueError("induced_decode expects length n-2")
-    # each candidate u has interleaved_psi(u) = y, whose VT is a mod 2n, and
-    # halves summing to b and c mod q: its residues are (a, b, c) exactly
-    # when these lie in range
-    if not (0 <= a < 2 * n and 0 <= b < q and 0 <= c < q):
+    # each candidate u has halves summing to b and c mod q and is kept only
+    # when VT(interleaved_psi(u)) is a mod 2n: its residues are (a, b, c)
+    # exactly when these lie in range.  u keeps every adjacent pair of up,
+    # so it alternates only if up does.
+    if not (0 <= a < 2 * n and 0 <= b < q and 0 <= c < q) or not is_alternating(up):
         raise NotDecodableError("no unique codeword consistent with input")
-    yp = interleaved_psi(up)
-    delta = (a - vt_syndrome(yp)) % (2 * n)
-    candidates = _reinsertions(yp, 2, delta, 2 * n)
-    v_odd = (b - sum(up[0::2])) % q
-    v_even = (c - sum(up[1::2])) % q
+    gaps = ((b - sum(up[0::2])) % q, (c - sum(up[1::2])) % q)
     found = set()
-    for y in candidates:
-        x = psi_inv(y)
-        half = _reinsert_by_phi(up[0::2], v_odd, x[0::2])
-        other = _reinsert_by_phi(up[1::2], v_even, x[1::2])
-        for uo in half:
-            for ue in other:
-                u = _interleave(uo, ue)
-                if is_alternating(u) and any(res == up for _, res in induced_deletions(u)):
-                    found.add(u)
+    for i, w in enumerate(up):
+        # v sits at i + 1 and w again at i + 2, in the other half; u then
+        # alternates iff v != w
+        v = gaps[(i + 1) % 2]
+        if w != gaps[i % 2] or v == w:
+            continue
+        u = up[: i + 1] + (v, w) + up[i + 1 :]
+        if vt_syndrome(interleaved_psi(u)) % (2 * n) == a:
+            found.add(u)
     if len(found) != 1:
         raise NotDecodableError("no unique codeword consistent with input")
     return found.pop()
-
-
-def _reinsert_by_phi(half: tuple, value: int, target_phi: tuple) -> set:
-    """Insertions of value into half whose ascent image equals target_phi."""
-    out = set()
-    for pos in range(len(half) + 1):
-        cand = half[:pos] + (value,) + half[pos:]
-        if phi(cand) == target_phi:
-            out.add(cand)
-    return out
 
 
 def _interleave(uo: tuple, ue: tuple) -> tuple:

@@ -82,12 +82,7 @@ def cmd_decode(args) -> int:
         print(f"decode: family {family} requires --window", file=sys.stderr)
         return USAGE_ERROR
     burst = Burst(lo, max(1, book.spec.n - len(received)))
-    try:
-        decoded = decoder(None, received, burst)
-    except NotDecodableError as exc:
-        print(f"not decodable: {exc}", file=sys.stderr)
-        return FAILURE
-    print(format_sequence(decoded))
+    print(format_sequence(decoder(None, received, burst)))
     return 0
 
 

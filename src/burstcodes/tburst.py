@@ -707,9 +707,9 @@ class BlockLabeler(QaryBlockLabeler):
     """Label lookup for binary blocks of the lengths appearing in a split:
     the one-row labeler, whose fills are all bit strings.
 
-    `rows`, `label` and `solve` are the one-row case written out, because
-    ctb runs them for every block of every decode, where the general loops
-    over rows made a ctb decode about 5% slower."""
+    `rows`, `word`, `label` and `solve` are the one-row case written out,
+    because ctb runs them for every block of every decode, where the
+    general loops over rows made a ctb decode about 5% slower."""
 
     def __init__(self, oracles: dict):
         super().__init__(2, oracles, (0, 1))
@@ -717,6 +717,9 @@ class BlockLabeler(QaryBlockLabeler):
     def rows(self, x: tuple) -> tuple:
         check_binary(x)
         return (_bits_to_int(x),)
+
+    def word(self, rows: tuple, k: int) -> tuple:
+        return _int_to_bits(rows[0], k)
 
     def label(self, rows: tuple, shift: int, k: int) -> int:
         return self.oracles[k].labels[(rows[0] >> shift) & ((1 << k) - 1)]

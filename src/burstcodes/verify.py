@@ -730,7 +730,7 @@ def confusability_check(words, t: int):
 
 
 def _adjacency(words, t: int) -> list:
-    """Confusability graph as bit masks: words sharing a D_{<=t} descendant."""
+    """Confusability graph as bit masks: distinct words sharing a D_{<=t} descendant."""
     index = {w: i for i, w in enumerate(words)}
     groups = {}
     for w in words:
@@ -738,13 +738,10 @@ def _adjacency(words, t: int) -> list:
             groups.setdefault(d, []).append(index[w])
     adj = [0] * len(words)
     for members in groups.values():
-        if len(members) < 2:
-            continue
+        mask = sum(1 << i for i in members)
         for i in members:
-            for j in members:
-                if i != j:
-                    adj[i] |= 1 << j
-    return adj
+            adj[i] |= mask
+    return [m & ~(1 << i) for i, m in enumerate(adj)]
 
 
 def _greedy_independent(adj: list, cand: int) -> int:

@@ -213,6 +213,19 @@ class TestInduced:
                     continue
                 assert is_alternating(got)
 
+    def test_shortest_lengths(self):
+        # n = 2 leaves the empty word, from which no position of up puts a
+        # word back: every residue is refused; at n = 3 every induced
+        # deletion of every word decodes from the word's own residues
+        for q in range(2, 5):
+            for a, b, c in product(range(-1, 5), range(-1, q + 1), range(q)):
+                with pytest.raises(NotDecodableError, match="no unique codeword"):
+                    induced_decode((), a, b, c, 2, q)
+            words = [u for u in product(range(q), repeat=3) if is_alternating(u)]
+            for u in words:
+                for _, up in induced_deletions(u):
+                    assert induced_decode(up, *induced_residues(u, 3, q), 3, q) == u
+
     @pytest.mark.parametrize("n,q", [(6, 3), (8, 4)])
     def test_all_induced_deletions_exhaustive(self, n, q):
         book = sieve("induced", n, q=q)
@@ -407,9 +420,9 @@ CONTRACT_CASES = [
     (family, n)
     for family in ("vt", "tenengolts", "levenshtein", "induced", "pbounded")
     for n in (8, 12)
-] + [(label, CONTRACT_BOOKS[label][1]) for label in CONTRACT_BOOKS] + list(
-    CONTRACT_DENSE
-) + [("pll", n) for n in (16, 64)]
+] + [("induced", 3)] + [
+    (label, CONTRACT_BOOKS[label][1]) for label in CONTRACT_BOOKS
+] + list(CONTRACT_DENSE) + [("pll", n) for n in (16, 64)]
 
 
 @pytest.mark.parametrize(
@@ -547,3 +560,32 @@ def test_pbounded_edge_windows_pinned():
     assert sum(not isinstance(o, str) for o in outs) == 13640
     digest = hashlib.sha256(repr(outs).encode()).hexdigest()
     assert digest == PBOUNDED_EDGE_DIGEST
+
+
+def _induced_outcomes():
+    """Outcome of induced_decode on every input over q = 2..4 at n = 4..7:
+    every word of length n - 2 with a = -1..2n, b = -1..q and c = 0..q-1."""
+    outs = []
+    for n, q in product(range(4, 8), range(2, 5)):
+        for up in product(range(q), repeat=n - 2):
+            for a, b, c in product(range(-1, 2 * n + 1), range(-1, q + 1), range(q)):
+                try:
+                    outs.append(induced_decode(up, a, b, c, n, q))
+                except NotDecodableError as exc:
+                    outs.append(str(exc))
+    return outs
+
+
+INDUCED_DIGEST = (
+    "3f0045426775a8fa4c8da1808bf31c7cb6601f49b255c26d12c26c3e7283b50d"
+)
+
+
+def test_induced_outcomes_pinned():
+    # the digest was recorded from the decoder that reinserted two bits
+    # into interleaved_psi(up), then each half Tenengol'ts-style
+    outs = _induced_outcomes()
+    assert len(outs) == 590020
+    assert sum(not isinstance(o, str) for o in outs) == 5330
+    digest = hashlib.sha256(repr(outs).encode()).hexdigest()
+    assert digest == INDUCED_DIGEST

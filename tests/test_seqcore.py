@@ -1,9 +1,8 @@
 """Core sequence primitives, validated against independent enumeration."""
+import random
 from itertools import product
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from burstcodes.seqcore import (
     Burst,
@@ -25,7 +24,16 @@ from burstcodes.seqcore import (
     vt_syndrome,
 )
 
-binary = st.lists(st.integers(0, 1), min_size=1, max_size=14).map(tuple)
+
+def words(q, exhaustive, longest):
+    """Every word over range(q) of length 1 .. exhaustive, then 50 seeded
+    words of each length up to `longest`."""
+    for n in range(1, exhaustive + 1):
+        yield from product(range(q), repeat=n)
+    rng = random.Random(f"{q}/{exhaustive}/{longest}")
+    for n in range(exhaustive + 1, longest + 1):
+        for _ in range(50):
+            yield tuple(rng.randrange(q) for _ in range(n))
 
 
 def brute_period2_longest(x: tuple) -> int:
@@ -74,12 +82,12 @@ class TestDeletionBall:
         ball = deletion_ball((0, 1, 1, 0), 2, upto=True)
         assert (0, 1, 1) in ball and (0, 1) in ball
 
-    @given(binary)
-    def test_size_formula_matches_enumeration(self, x):
-        for t in (1, 2):
-            if len(x) < t or len(x) % t != 0:
-                continue
-            assert burst_ball_size(x, t) == len(deletion_ball(x, t))
+    def test_size_formula_matches_enumeration(self):
+        for x in words(2, 12, 14):
+            for t in (1, 2):
+                if len(x) < t or len(x) % t != 0:
+                    continue
+                assert burst_ball_size(x, t) == len(deletion_ball(x, t))
 
     def test_ball_refuses_huge_inputs(self):
         with pytest.raises(ValueError):
@@ -97,33 +105,26 @@ class TestSyndromes:
         assert r == (0, 1, 1, 1, 2, 3, 4, 4)
         assert total == 16
 
-    @given(binary)
-    def test_run_indices_nondecreasing(self, x):
-        r, total = run_syndrome(x)
-        assert all(b - a in (0, 1) for a, b in zip(r, r[1:]))
-        assert total == sum(r)
+    def test_run_indices_nondecreasing(self):
+        for x in words(2, 14, 14):
+            r, total = run_syndrome(x)
+            assert all(b - a in (0, 1) for a, b in zip(r, r[1:]))
+            assert total == sum(r)
 
 
 class TestPsiPhi:
     def test_psi_example(self):
         assert psi((0, 1, 1, 1, 0, 1, 0, 0)) == (1, 0, 0, 1, 1, 1, 0, 0)
 
-    @given(binary)
-    def test_psi_bijective(self, x):
-        assert psi_inv(psi(x)) == x
-        assert psi(psi_inv(x)) == x
+    def test_psi_bijective(self):
+        for x in words(2, 14, 14):
+            assert psi_inv(psi(x)) == x
+            assert psi(psi_inv(x)) == x
 
     def test_phi_strict_ascents(self):
         assert phi((1, 6, 6, 3)) == (1, 1, 0, 0)
         assert phi((0, 7, 2, 5)) == (1, 1, 0, 1)
         assert phi((5,)) == (1,)
-
-    @settings(max_examples=60)
-    @given(st.integers(4, 12))
-    def test_levenshtein_run_identity(self, n):
-        for x in product((0, 1), repeat=n):
-            _, m = run_syndrome((0,) + x)
-            assert vt_syndrome(psi(x)) % (2 * n) == (-m) % (2 * n)
 
 
 class TestPeriod2:
@@ -133,9 +134,9 @@ class TestPeriod2:
         assert longest_period2((0, 0)) == 2
         assert longest_period2((0, 1, 1, 0)) == 2
 
-    @given(binary)
-    def test_matches_brute_force(self, x):
-        assert longest_period2(x) == brute_period2_longest(x)
+    def test_matches_brute_force(self):
+        for x in words(2, 11, 14):
+            assert longest_period2(x) == brute_period2_longest(x)
 
 
 class TestMatrix:
@@ -144,9 +145,9 @@ class TestMatrix:
         assert rows == ((0, 1, 0, 1), (0, 0, 1, 1))
         assert from_matrix(rows, 4) == (0, 1, 2, 3)
 
-    @given(st.lists(st.integers(0, 7), min_size=1, max_size=10).map(tuple))
-    def test_roundtrip_q8(self, u):
-        assert from_matrix(to_matrix(u, 8), 8) == u
+    def test_roundtrip_q8(self):
+        for u in words(8, 5, 10):
+            assert from_matrix(to_matrix(u, 8), 8) == u
 
     def test_symbol_out_of_range(self):
         with pytest.raises(ValueError):
@@ -165,7 +166,6 @@ class TestParsing:
         assert format_sequence((0, 1, 1)) == "011"
         assert format_sequence((10, 2, 0)) == "10,2,0"
 
-    @given(st.lists(st.integers(0, 99), min_size=1, max_size=8).map(tuple))
-    @example(())
-    def test_roundtrip(self, u):
-        assert parse_sequence(format_sequence(u)) == u
+    def test_roundtrip(self):
+        for u in [(), *words(2, 8, 8), *words(100, 2, 8)]:
+            assert parse_sequence(format_sequence(u)) == u

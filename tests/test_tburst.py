@@ -990,6 +990,16 @@ class TestBlockSolve:
         with pytest.raises(ValueError, match="out of range"):
             labeler.rows((0, 1 << labeler.nrows))
 
+    def test_binary_word_matches_the_qary_view(self):
+        # BlockLabeler writes out the one-row word; it is the codec's view
+        oracles = {4: oracle_build_brute(4, 1, "burst")}
+        binary, qary = BlockLabeler(oracles), QaryBlockLabeler(2, oracles, (0, 1))
+        rng = random.Random("one-row word")
+        for k in (0, 1, 2, 7, 8, 9, 40):
+            for row in {0, (1 << k) - 1, rng.getrandbits(k), rng.getrandbits(k)}:
+                assert binary.word((row,), k) == qary.word((row,), k)
+                assert binary.rows(binary.word((row,), k)) == (row,)
+
     @pytest.mark.parametrize("q", [1 << 17, math.factorial(9) + 1])
     def test_rows_refuse_more_than_sixteen_rows(self, q):
         # the perm code's q = (t + 1)! + 1 passes 2^16 at t = 8; its words
