@@ -206,7 +206,7 @@ def _seg_table(wb: bytes, tprime: int, left: bytes, right: bytes) -> tuple:
         new = _occurrences(left + bytes(bits) + right, wb)
         ends = (new[0], new[-1]) if new else (0, 0)
         inner = max(map(sub, new[1:], new), default=0)
-        out[len(new) % 4][sum(bits), len(new), sum(new), *ends, inner] = None
+        out[len(new) % 4][(sum(bits), len(new), sum(new), *ends, inner)] = None
     return tuple(map(tuple, out))
 
 
@@ -948,4 +948,6 @@ def ctb_decode(up: tuple, params: CtbParams, labeler: BlockLabeler) -> tuple:
         cpb_decode(row, n, window, sums, labeler, params.P)
         for row, sums in zip(rows_rx, params.row_sums)
     ]
+    if not loc_member(rows[0], params.c0, params.c1, params.density):
+        raise NotDecodableError("row 1 decodes outside the localization code")
     return _reassemble(rows, params.q, up, params.t)

@@ -17,8 +17,8 @@ builds only the words of the winning class, along the states from which it
 can be reached.  c2b takes its rows from the pll_lev and pbounded sieves.
 The tests hold every automaton to the residue map of `classic` or
 `pll2burst` on every word of its space.  loc, ctb and perm group the words
-of their space (or, beyond the budget, of a structured random sample,
-flagged as sampled) by residue tuple.
+of their space by residue tuple; beyond the budget, `_loc_pool` gives loc
+and ctb a structured random sample of dense words, flagged as sampled.
 """
 from __future__ import annotations
 
@@ -391,33 +391,30 @@ def _dense_sample(n: int, dp: tburst.DensityParams, rng, count: int) -> list:
     admissible gaps, fill the remaining bits randomly, keep actual members."""
     t, delta, w = dp.t, dp.delta, dp.w
     out = set()
-    attempts = 0
-    while len(out) < count and attempts < count * 60:
-        attempts += 1
+    for _ in range(count * 60):  # a short word may have fewer dense strings
+        if len(out) == count:
+            break
         x = [None] * n
         pos = rng.randint(1, max(1, delta - 2 * t + 1))
         while pos + 2 * t - 1 <= n:
-            x[pos - 1 : pos + 2 * t - 1] = list(w)
-            nxt = pos + rng.randint(2 * t, delta)
-            if nxt + 2 * t - 1 > n:
-                break
-            pos = nxt
-        for i in range(n):
-            if x[i] is None:
-                x[i] = rng.randint(0, 1)
-        cand = tuple(x)
+            x[pos - 1 : pos + 2 * t - 1] = w
+            pos += rng.randint(2 * t, delta)
+        cand = tuple(rng.randint(0, 1) if b is None else b for b in x)
         if tburst.is_dense(cand, dp):
             out.add(cand)
     return sorted(out)
 
 
+def _loc_pool(n: int, dp: tburst.DensityParams, budget: int, rng) -> tuple:
+    """(pool, sampled): all 2^n binary words within budget, else a dense sample."""
+    if 2**n > budget:
+        return _dense_sample(n, dp, rng, SAMPLES), True
+    return _qary_space(n, 2, budget), False
+
+
 def _sieve_loc(n, t, delta, budget, seed, **_) -> Codebook:
     dp = tburst.DensityParams(n, t, delta)
-    sampled = 2**n > budget
-    if sampled:
-        pool = _dense_sample(n, dp, random.Random(seed), SAMPLES)
-    else:
-        pool = _qary_space(n, 2, budget)
+    pool, sampled = _loc_pool(n, dp, budget, random.Random(seed))
     (c0, c1), words = _best_group(pool, lambda x: tburst.loc_residues(x, dp))
     return _book(
         "loc", n, 2, t, {"delta": delta, "c0": c0, "c1": c1}, words, 2**n,
@@ -426,36 +423,28 @@ def _sieve_loc(n, t, delta, budget, seed, **_) -> Codebook:
 
 
 def _sieve_ctb(n, q, t, delta, P, budget, seed, max_words, **_):
-    """Row-separable sieve with sampled row pools when 2^n is out of budget;
-    parameters are the residues of the best (most frequent) tuple."""
+    """Row-separable sieve, row 1 over _loc_pool's pool; parameters are the
+    residues of the best (most frequent) tuple."""
     # CtbParams refuses what the decoder would, before any oracle is built
     sums = (tburst.SUMS_SHAPE,) * matrix_rows(q)
     dummy = tburst.CtbParams(n, q, t, delta, P, 0, 0, sums)
     dp, labeler = dummy.density, tburst.BlockLabeler(tburst.ctb_oracles(dummy))
     rng = random.Random(seed)
-    sampled = 2**n > budget
-    if sampled:
-        row1_pool = _dense_sample(n, dp, rng, SAMPLES)
-        plain_pool = sorted(
-            {tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(SAMPLES)}
-        )
-    else:
-        row1_pool = plain_pool = list(_qary_space(n, 2, budget))
+    pool, sampled = _loc_pool(n, dp, budget, rng)
 
     def row1_key(x):
         loc = tburst.loc_residues(x, dp)
-        if loc is None:
-            return None
-        return (*loc, tburst.block_syndromes(x, P, labeler))
+        return None if loc is None else (*loc, tburst.block_syndromes(x, P, labeler))
 
-    (c0, c1, sums1), row1 = _best_group(row1_pool, row1_key)
+    (c0, c1, sums1), row1 = _best_group(pool, row1_key)
     nrows = matrix_rows(q)
     rows, row_sums = [row1], [sums1]
     if nrows > 1:
-        # every other row takes the same best block-sum class
-        sums, words = _best_group(
-            plain_pool, lambda x: tburst.block_syndromes(x, P, labeler)
-        )
+        # every other row takes the same best block-sum class, of the space
+        # or of a uniform sample
+        uniform = (tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(SAMPLES))
+        pool = sorted(set(uniform)) if sampled else _qary_space(n, 2, budget)
+        sums, words = _best_group(pool, lambda x: tburst.block_syndromes(x, P, labeler))
         rows += [words] * (nrows - 1)
         row_sums += [sums] * (nrows - 1)
     params = {"delta": delta, "P": P, "c0": c0, "c1": c1, "row_sums": tuple(row_sums)}

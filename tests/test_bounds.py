@@ -99,6 +99,12 @@ class TestTable:
             ]
         assert rows[3][3:] == rows[4][3:] == ["", ""]
 
+    def test_c2b_blank_unless_q_is_a_power_of_two(self):
+        # at q = 6 the row product overcounts the words with a symbol >= q
+        rows = redundancy_table(["c2b"], [8, 10], q=6)
+        assert rows[1][3:] == ["", ""]
+        assert all(redundancy_table(["c2b"], [8, 10], q=4)[1][3:])
+
     def test_measured_redundancy(self):
         assert measured_redundancy(256, 16) == pytest.approx(4.0)
         with pytest.raises(ValueError):

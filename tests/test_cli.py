@@ -2,6 +2,8 @@
 import csv
 import json
 import random
+import runpy
+import sys
 
 import pytest
 
@@ -531,3 +533,13 @@ class TestTable:
         assert [r[:3] for r in rows[1:]] == [
             ["pbounded", "?", "?"], ["pll_lev", "?", "?"], ["loc", "?", "?"],
         ]
+
+
+def test_module_entry_point_exits_with_mains_code(capsys, monkeypatch):
+    # python -m burstcodes.cli runs main on sys.argv and exits with its code
+    monkeypatch.setattr(sys, "argv", ["burstcodes", "ball", "--t", "2", "--seq", "0110"])
+    monkeypatch.delitem(sys.modules, "burstcodes.cli")
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("burstcodes.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.strip().splitlines()[-1] == "size 3"

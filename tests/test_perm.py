@@ -104,6 +104,10 @@ class TestReconstruct:
         pi = (2, 4, 1, 3, 5)
         assert reconstruct(pi, (), overlap_ranks(pi, 2), 2) == pi
 
+    def test_repeated_entries_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            reconstruct((1, 2, 2), (4,), (), 1)
+
     def test_mismatched_sequence_rejected(self):
         pi = (2, 4, 1, 3, 5)
         wrong = tuple(reversed(overlap_ranks(pi, 2)))
@@ -130,6 +134,12 @@ class TestPermPipeline:
         params, labeler = self.make(perm_book)
         for pi in perm_book.words:
             assert perm_member(pi, params, labeler)
+
+    def test_wrong_length_or_not_a_permutation_is_no_member(self, perm_book):
+        params, labeler = self.make(perm_book)
+        pi = perm_book.words[0]
+        assert not perm_member(pi[:-1], params, labeler)
+        assert not perm_member((pi[0],) * len(pi), params, labeler)
 
     def test_all_bursts_roundtrip_subset(self, perm_book):
         # the full-codebook sweep runs in the acceptance suite

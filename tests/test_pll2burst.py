@@ -237,6 +237,9 @@ class TestPBounded:
         ]
         assert len(words) == 174
 
+    def test_wrong_length_is_no_member(self):
+        assert not pbounded_member((0,) * 11, PBoundedParams(12, 4, 2, 1))
+
     def test_exhaustive_window_decoding(self):
         # every codeword, burst <= 2, covering window at n=10, P=4
         n, P = 10, 4
@@ -325,6 +328,13 @@ class TestC2B:
     def test_odd_alphabet_rejected(self):
         with pytest.raises(ValueError):
             C2BParams(12, 3, 0, ())
+
+    def test_row_residues_for_every_row_but_the_first(self):
+        with pytest.raises(ValueError, match="every row but the first"):
+            C2BParams(12, 4, 0, ())
+
+    def test_wrong_length_is_no_member(self, book):
+        assert not c2b_member(book.words[0][:-1], self.make_params(book))
 
     def test_non_codeword_rejected(self, book):
         params = self.make_params(book)

@@ -93,6 +93,11 @@ class TestDeletionBall:
         with pytest.raises(ValueError):
             deletion_ball((0,) * 33, 1)
 
+    @pytest.mark.parametrize("t", [0, 3])
+    def test_ball_refuses_t_outside_the_length(self, t):
+        with pytest.raises(ValueError, match="1 <= t"):
+            deletion_ball((0, 1), t)
+
 
 class TestSyndromes:
     def test_vt_weighted_sum(self):
@@ -165,6 +170,11 @@ class TestParsing:
         assert parse_sequence("10,2,0") == (10, 2, 0)
         assert format_sequence((0, 1, 1)) == "011"
         assert format_sequence((10, 2, 0)) == "10,2,0"
+
+    def test_one_symbol_without_commas(self):
+        # neither comma-separated nor binary shorthand: a single symbol
+        assert parse_sequence("7") == (7,)
+        assert parse_sequence("12") == (12,)
 
     def test_roundtrip(self):
         for u in [(), *words(2, 8, 8), *words(100, 2, 8)]:

@@ -1039,6 +1039,22 @@ class TestCtbPipeline:
         for u in ctb_book.words:
             assert ctb_member(u, params, labeler)
 
+    def test_wrong_length_is_no_member(self, ctb_book):
+        params, labeler = self.make(ctb_book)
+        assert not ctb_member(ctb_book.words[0][:-1], params, labeler)
+
+    def test_row1_outside_the_localization_code_refused(self):
+        # every block sum of (1, 0, 1, 1, 1, 1, 0, 3, 3, 0, 3, 0) matches and
+        # the input is in its burst ball, but its row 1 is not dense: the
+        # decoder returned that non-codeword before row 1 was checked
+        params = CtbParams(
+            12, 4, 2, 6, 8, 1, 14, (((9, 81), (4, 16)), ((1, 1), (1, 1)))
+        )
+        labeler = BlockLabeler(ctb_oracles(params))
+        assert not ctb_member((1, 0, 1, 1, 1, 1, 0, 3, 3, 0, 3, 0), params, labeler)
+        with pytest.raises(NotDecodableError, match="localization code"):
+            ctb_decode((1, 0, 1, 1, 0, 3, 3, 0, 3, 0), params, labeler)
+
     def test_all_bursts_roundtrip(self, ctb_book):
         params, labeler = self.make(ctb_book)
         for u in ctb_book.words:

@@ -50,6 +50,15 @@ from burstcodes.verify import (
 from burstcodes.bounds import lp_bound, perm_bound
 
 
+# SHA-256 of Codebook.to_json() of books whose row-1 pool is sampled: the
+# loc book past a small budget, and ctb-stream's book at two seeds
+SAMPLED_BOOKS = [
+    ("loc", 16, {"t": 2, "delta": 8, "budget": 1 << 10}, "c0e6647ab4b9411491e4c8f7f85fa75d2ee7e27f9313058dcb625fa529c9f72b"),
+    ("ctb", 32, {"q": 16, "t": 2, "delta": 7, "P": 8, "seed": 1}, "daf1034f6ddbcff94a77b243f59c4f77747177bb683608fe3c86b0fc93c4388f"),
+    ("ctb", 32, {"q": 16, "t": 2, "delta": 7, "P": 8, "seed": 601}, "f0935ab6f5c39ce1b0d3069c11aed0593f5911d0d1112baebf3eea4b674da785"),
+]
+
+
 class TestSieve:
     def test_levenshtein_size_at_least_pigeonhole(self):
         # 2n residue classes partition 2^n words
@@ -93,6 +102,20 @@ class TestSieve:
         assert book.words
         member = _loc_member_test(book.spec)
         assert all(member(x) for x in book.words)
+
+    @pytest.mark.parametrize(
+        "family, n, kw, digest", SAMPLED_BOOKS,
+        ids=[f"{fam}-n{n}-seed{kw.get('seed', 0)}" for fam, n, kw, _ in SAMPLED_BOOKS],
+    )
+    def test_sampled_books_pinned(self, family, n, kw, digest):
+        # a pool drawn past the budget is seeded, so the book is pinned too
+        book = sieve(family, n, **kw)
+        assert book.sampled
+        assert hashlib.sha256(book.to_json().encode()).hexdigest() == digest
+
+    def test_c2b_odd_alphabet_rejected(self):
+        with pytest.raises(ValueError, match="q even"):
+            sieve("c2b", 10, q=3)
 
     def test_deterministic(self):
         a = sieve("tenengolts", 5, q=3)
@@ -279,6 +302,20 @@ class TestExactMax:
             max_code_exact(20, 2, 2)
         with pytest.raises(ValueError):
             max_perm_code_exact(9, 2)
+
+    # a 6-vertex graph whose greedy independent set (2 vertices) is below its
+    # maximum (3), so the branch and bound runs
+    GREEDY_SHORT = [18, 37, 42, 36, 33, 30]
+
+    def test_search_stops_at_the_upper_bound(self):
+        assert verify._greedy_independent(self.GREEDY_SHORT, 63) == 2
+        assert _max_independent_set(self.GREEDY_SHORT, 3) == 3
+        assert _max_independent_set(self.GREEDY_SHORT, 6) == 3
+
+    def test_search_node_budget(self, monkeypatch):
+        monkeypatch.setattr(verify, "NODE_BUDGET", 1)
+        with pytest.raises(RuntimeError, match="node budget"):
+            _max_independent_set(self.GREEDY_SHORT, 6)
 
 
 class TestExistsPermCode:
